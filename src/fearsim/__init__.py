@@ -9,7 +9,6 @@ comparison experiments reproduce the published behaviour studies.
 from .emotion import (
     EmotionInputs,
     FearLevel,
-    FearState,
     classify_level,
     compute_likelihood,
     fear_intensity,
@@ -20,7 +19,6 @@ from .fuzzy import (
     LinguisticVariable,
     RuleBase,
     TriangularMF,
-    evaluate,
     parse_rules,
 )
 from .monitors import InvariantReport, InvariantSpec, Verdict, check_comparison_invariants, check_trace_invariants
@@ -30,10 +28,10 @@ from .sim import ScenarioConfig, TickRecord, Trace, VehicleState, WorldConfig, i
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmotionInputs", "FearLevel", "FearState", "classify_level",
+    "EmotionInputs", "FearLevel", "classify_level",
     "compute_likelihood", "fear_intensity", "fear_potential",
     "FuzzyRule", "LinguisticVariable", "RuleBase", "TriangularMF",
-    "evaluate", "parse_rules",
+    "parse_rules",
     "InvariantReport", "InvariantSpec", "Verdict",
     "check_comparison_invariants", "check_trace_invariants",
     "OsdParams", "ReactionProfile", "SsdParams",

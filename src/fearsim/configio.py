@@ -10,6 +10,7 @@ the overtaking-study parameters.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import tempfile
 
@@ -19,7 +20,6 @@ __all__ = [
     "ConfigError",
     "load_scenario_config",
     "load_sweep_rows",
-    "load_display_calibration_doc",
     "load_osd_calibration_doc",
     "atomic_write",
 ]
@@ -83,9 +83,12 @@ def _coerce(key: str, raw: str, source: str):
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"{source}: bad value for {key!r}: {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{source}: {key!r} must be a finite number, got {raw!r}")
+    return value
 
 
 def _collect(parser: configparser.ConfigParser, sections: list[str], source: str) -> dict:
@@ -160,35 +163,6 @@ def load_sweep_rows(text: str, source: str = "<config>") -> tuple[list[ScenarioC
             except ValueError:
                 raise ConfigError(f"{source}: bad value for {key!r}: {raw!r}") from None
     return rows, settings
-
-
-def load_display_calibration_doc(text: str, source: str = "<calibration>") -> dict:
-    """Parse the band/plateau record from a calibration document.
-
-    Returns a dict with ``bands`` (five (lo, hi) pairs), ``plateaus``,
-    ``levels`` (one level name per plateau) and ``default_threshold``.
-    """
-    parser = _read_ini(text, source)
-    if not parser.has_section("bands") or not parser.has_section("display"):
-        raise ConfigError(f"{source}: calibration needs [bands] and [display] sections")
-    bands = []
-    for name in ("very_low", "low", "medium", "high", "very_high"):
-        raw = parser.get("bands", name, fallback=None)
-        if raw is None:
-            raise ConfigError(f"{source}: [bands] missing {name!r}")
-        lo, hi = (float(p) for p in raw.split())
-        bands.append((lo, hi))
-    plateaus = tuple(int(p) for p in parser.get("display", "plateaus").split())
-    levels = tuple(parser.get("display", "levels").split())
-    if len(levels) != len(plateaus):
-        raise ConfigError(f"{source}: plateau and level counts differ")
-    threshold = float(parser.get("display", "default_threshold", fallback="0"))
-    return {
-        "bands": tuple(bands),
-        "plateaus": plateaus,
-        "levels": levels,
-        "default_threshold": threshold,
-    }
 
 
 def load_osd_calibration_doc(text: str, source: str = "<calibration>"):

@@ -24,8 +24,6 @@ from .fuzzy import RuleBase, evaluate_additive, parse_rules
 __all__ = [
     "FearLevel",
     "EmotionInputs",
-    "FearState",
-    "INTENSITY_BANDS",
     "DISPLAY_PLATEAUS",
     "compute_likelihood",
     "fear_potential",
@@ -54,15 +52,6 @@ class FearLevel(enum.Enum):
                 return level
         raise ValueError(f"unknown fear level {name!r}")
 
-
-# Five overlapping intensity bands shared by all appraisal variables.
-INTENSITY_BANDS: tuple[tuple[float, float], ...] = (
-    (0.0, 0.24),
-    (0.1, 0.5),
-    (0.25, 0.73),
-    (0.51, 0.9),
-    (0.76, 1.0),
-)
 
 # Display values observed on the 0..100 scale.  Seven plateaus for five
 # levels: 16 and 36 are transitional blends between adjacent levels.
@@ -98,21 +87,6 @@ class EmotionInputs:
                 raise ValueError(f"{fname}={v} outside [0, 1]")
         if self.likelihood is not None and not 0.0 <= self.likelihood <= 1.0:
             raise ValueError(f"likelihood={self.likelihood} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class FearState:
-    potential: float
-    threshold: float
-    intensity: float
-    level: FearLevel
-    display: int
-
-    @classmethod
-    def from_potential(cls, potential: float, threshold: float) -> "FearState":
-        intensity = fear_intensity(potential, threshold)
-        level, display = classify_level(intensity)
-        return cls(potential, threshold, intensity, level, display)
 
 
 def _load_rules(filename: str) -> RuleBase:

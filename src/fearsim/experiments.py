@@ -301,13 +301,9 @@ def _interp(x: float, points: list[tuple[float, float]]) -> float:
     raise AssertionError("unreachable")
 
 
+@_cache
 def default_osd_calibration() -> OsdCalibration:
     """The calibration shipped in data/calibration.cfg (cached)."""
-    return _load_default_osd_calibration()
-
-
-@_cache
-def _load_default_osd_calibration() -> OsdCalibration:
     from importlib import resources
     from .configio import load_osd_calibration_doc
 

@@ -1,9 +1,11 @@
 """Mamdani fuzzy inference on triangular membership functions.
 
-The engine is deliberately small: triangular MFs only, min implication,
-max aggregation, centroid defuzzification.  Rule bases are parsed from a
-line-oriented text format (see :func:`parse_rules`) so the shipped rule
-files stay inspectable and editable without touching code.
+The engine is deliberately small: triangular MFs only.  Each rule base
+compiles its rules once; Mamdani inference (min implication, max
+aggregation, centroid) and the additive variant (product, centre-average)
+share one validated fuzzification of the inputs.  Rule bases are parsed
+from a line-oriented text format (see :func:`parse_rules`) so the shipped
+rule files stay inspectable and editable without touching code.
 
 All constructed objects are immutable; evaluation is a pure function and
 safe to call concurrently from multiple threads.
@@ -12,7 +14,7 @@ safe to call concurrently from multiple threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,6 @@ __all__ = [
     "DegenerateSetError",
     "eval_trimf",
     "defuzzify_centroid",
-    "evaluate",
     "parse_rules",
     "format_rules",
 ]
@@ -122,19 +123,6 @@ class LinguisticVariable:
                 return mf
         raise KeyError(f"{self.name}: unknown term {token!r}")
 
-    def has_term(self, token: str) -> bool:
-        return any(t == token for t, _ in self.terms)
-
-    def term_index(self, token: str) -> int:
-        for i, (t, _) in enumerate(self.terms):
-            if t == token:
-                return i
-        raise KeyError(f"{self.name}: unknown term {token!r}")
-
-    def fuzzify(self, x: float) -> dict[str, float]:
-        """Membership degree of a crisp value under every term."""
-        return {token: eval_trimf(mf, x) for token, mf in self.terms}
-
     def contains(self, x: float) -> bool:
         lo, hi = self.domain
         return lo <= x <= hi
@@ -174,7 +162,6 @@ class FuzzySet:
 class InferenceResult:
     value: float
     degenerate: bool
-    aggregate: FuzzySet | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -190,46 +177,55 @@ class RuleBase:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
-        registry = {v.name: v for v in self.inputs}
-        if self.output.name in registry:
+        position = {v.name: p for p, v in enumerate(self.inputs)}
+        if self.output.name in position:
             raise ValueError(f"output variable {self.output.name!r} shadows an input")
+        input_terms = [{t: k for k, (t, _) in enumerate(v.terms)} for v in self.inputs]
+        output_index = {t: k for k, (t, _) in enumerate(self.output.terms)}
+        # Each rule compiles to ((input position, term index), ...) plus the
+        # consequent term index, so evaluation never looks up a name.
+        compiled = []
         seen: dict[tuple, int] = {}
         for i, rule in enumerate(self.rules):
+            antecedents = []
             for var, term in rule.antecedents:
-                if var not in registry:
+                if var not in position:
                     raise ValueError(f"rule {i + 1}: unknown input variable {var!r}")
-                if not registry[var].has_term(term):
+                p = position[var]
+                if term not in input_terms[p]:
                     raise ValueError(f"rule {i + 1}: unknown term {var}.{term}")
+                antecedents.append((p, input_terms[p][term]))
             cvar, cterm = rule.consequent
             if cvar != self.output.name:
                 raise ValueError(f"rule {i + 1}: consequent variable must be {self.output.name!r}")
-            if not self.output.has_term(cterm):
+            if cterm not in output_index:
                 raise ValueError(f"rule {i + 1}: unknown output term {cterm!r}")
             key = rule.antecedent_key()
             if key in seen:
                 raise ValueError(f"rule {i + 1}: duplicate antecedent set (same as rule {seen[key]})")
             seen[key] = i + 1
+            compiled.append((tuple(antecedents), output_index[cterm]))
         # Sampling grid and per-term output samples are pure functions of the
         # immutable fields; precompute once so evaluation stays cheap.
         lo, hi = self.output.domain
         grid = np.linspace(lo, hi, self.resolution)
         term_rows = np.vstack([mf.sample(grid) for _, mf in self.output.terms])
         centroids = (term_rows * grid).sum(axis=1) / term_rows.sum(axis=1)
+        object.__setattr__(self, "_compiled", tuple(compiled))
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_term_rows", term_rows)
-        object.__setattr__(self, "_term_centroid", centroids)
+        object.__setattr__(self, "_term_centroid", tuple(float(c) for c in centroids))
 
-    def evaluate_detailed(self, inputs: dict[str, float]) -> InferenceResult:
-        """Run fuzzify / min-implication / max-aggregation / centroid.
+    def _memberships(self, inputs: dict[str, float]) -> list[list[float]]:
+        """Per input variable, the degree of its crisp value under each term.
 
-        ``inputs`` must carry exactly one crisp value per input variable,
-        inside that variable's domain.  When no rule fires the result is
-        the midpoint of the output domain, flagged degenerate.
+        The one validation path for both inference variants: ``inputs``
+        must carry exactly one value per input variable, inside its domain.
         """
         unknown = set(inputs) - {v.name for v in self.inputs}
         if unknown:
             raise ValueError(f"unexpected input variables: {sorted(unknown)}")
-        memberships: dict[str, dict[str, float]] = {}
+        memberships = []
         for var in self.inputs:
             if var.name not in inputs:
                 raise ValueError(f"missing input variable {var.name!r}")
@@ -237,37 +233,38 @@ class RuleBase:
             if not var.contains(x):
                 lo, hi = var.domain
                 raise ValueError(f"{var.name}={x} outside domain [{lo}, {hi}]")
-            memberships[var.name] = var.fuzzify(x)
+            memberships.append([eval_trimf(mf, x) for _, mf in var.terms])
+        return memberships
+
+    def evaluate_detailed(self, inputs: dict[str, float]) -> InferenceResult:
+        """Run fuzzification / min-implication / max-aggregation / centroid.
+
+        ``inputs`` must carry exactly one crisp value per input variable,
+        inside that variable's domain.  When no rule fires the result is
+        the midpoint of the output domain, flagged degenerate.
+        """
+        memberships = self._memberships(inputs)
 
         # Strongest firing strength per consequent term; max-aggregation of
         # clipped identical terms collapses to a single clip at the max.
-        strongest: dict[str, float] = {}
-        for rule in self.rules:
-            strength = min(memberships[var][term] for var, term in rule.antecedents)
-            if strength <= 0.0:
-                continue
-            term = rule.consequent[1]
-            if strength > strongest.get(term, 0.0):
-                strongest[term] = strength
+        strongest = [0.0] * len(self.output.terms)
+        for antecedents, consequent in self._compiled:
+            strength = min(memberships[p][k] for p, k in antecedents)
+            if strength > strongest[consequent]:
+                strongest[consequent] = strength
 
         lo, hi = self.output.domain
-        if not strongest:
+        if not any(strongest):
             return InferenceResult(value=(lo + hi) / 2.0, degenerate=True)
 
         aggregate = np.zeros(self.resolution)
-        for term, strength in strongest.items():
-            row = self._term_rows[self.output.term_index(term)]
-            np.maximum(aggregate, np.minimum(row, strength), out=aggregate)
-        fs = FuzzySet(lo, hi, aggregate)
-        return InferenceResult(value=defuzzify_centroid(fs), degenerate=False, aggregate=fs)
+        for row, strength in zip(self._term_rows, strongest):
+            if strength > 0.0:
+                np.maximum(aggregate, np.minimum(row, strength), out=aggregate)
+        return InferenceResult(value=_centroid(self._grid, aggregate), degenerate=False)
 
     def evaluate(self, inputs: dict[str, float]) -> float:
         return self.evaluate_detailed(inputs).value
-
-
-def evaluate(rulebase: RuleBase, inputs: dict[str, float]) -> float:
-    """Crisp output of ``rulebase`` for one crisp value per input variable."""
-    return rulebase.evaluate(inputs)
 
 
 def evaluate_additive(rulebase: RuleBase, inputs: dict[str, float]) -> float:
@@ -281,44 +278,37 @@ def evaluate_additive(rulebase: RuleBase, inputs: dict[str, float]) -> float:
     cap without handing its mass to a neighbour).  The fear combination
     stage evaluates through this path.
     """
-    unknown = set(inputs) - {v.name for v in rulebase.inputs}
-    if unknown:
-        raise ValueError(f"unexpected input variables: {sorted(unknown)}")
-    memberships: dict[str, dict[str, float]] = {}
-    for var in rulebase.inputs:
-        if var.name not in inputs:
-            raise ValueError(f"missing input variable {var.name!r}")
-        x = float(inputs[var.name])
-        if not var.contains(x):
-            lo, hi = var.domain
-            raise ValueError(f"{var.name}={x} outside domain [{lo}, {hi}]")
-        memberships[var.name] = var.fuzzify(x)
-
+    memberships = rulebase._memberships(inputs)
+    centroids = rulebase._term_centroid
     total_weight = 0.0
     total_moment = 0.0
-    for rule in rulebase.rules:
+    for antecedents, consequent in rulebase._compiled:
         w = 1.0
-        for var, term in rule.antecedents:
-            w *= memberships[var][term]
+        for p, k in antecedents:
+            w *= memberships[p][k]
             if w == 0.0:
                 break
         if w == 0.0:
             continue
-        idx = rulebase.output.term_index(rule.consequent[1])
         total_weight += w
-        total_moment += w * float(rulebase._term_centroid[idx])
+        total_moment += w * centroids[consequent]
     lo, hi = rulebase.output.domain
     if total_weight == 0.0:
         return (lo + hi) / 2.0
     return total_moment / total_weight
 
 
-def defuzzify_centroid(fs: FuzzySet) -> float:
-    """Centroid sum(x*mu)/sum(mu) over the sample grid."""
-    total = float(fs.samples.sum())
+def _centroid(grid: np.ndarray, samples: np.ndarray) -> float:
+    """Centroid sum(x*mu)/sum(mu) of ``samples`` taken on ``grid``."""
+    total = float(samples.sum())
     if total == 0.0:
         raise DegenerateSetError("cannot defuzzify an all-zero set")
-    return float((fs.grid * fs.samples).sum() / total)
+    return float((grid * samples).sum() / total)
+
+
+def defuzzify_centroid(fs: FuzzySet) -> float:
+    """Centroid sum(x*mu)/sum(mu) over the sample grid."""
+    return _centroid(fs.grid, fs.samples)
 
 
 # ---------------------------------------------------------------------------

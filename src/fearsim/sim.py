@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from .emotion import (
     EmotionInputs,
     FearLevel,
-    FearState,
     classify_level,
     compute_likelihood,
     fear_intensity,
@@ -88,7 +87,6 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class VehicleState:
-    role: str                           # "bullet" | "target"
     position: float                     # sim units along the lane
     speed: float                        # mph
     accel: float                        # mph gained per accelerating tick
@@ -266,11 +264,11 @@ def step(config: ScenarioConfig, bullet: VehicleState, target: VehicleState,
 def initial_states(config: ScenarioConfig) -> tuple[VehicleState, VehicleState]:
     world = config.world
     bullet = VehicleState(
-        role="bullet", position=0.0, speed=world.min_velocity,
+        position=0.0, speed=world.min_velocity,
         accel=config.bullet_accel, decel=config.bullet_decel,
     )
     target = VehicleState(
-        role="target", position=config.separation, speed=world.min_velocity,
+        position=config.separation, speed=world.min_velocity,
         accel=config.target_accel, decel=config.target_decel,
     )
     return bullet, target
@@ -294,15 +292,6 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                  collision=collision, collision_tick=collision_tick)
 
 
-def fear_state_at(config: ScenarioConfig, gap: float, speed_mph: float) -> FearState:
-    """The fear pipeline output for a bare (gap, speed) observation."""
-    likelihood = compute_likelihood(
-        min(gap / config.world.span, 1.0), speed_mph / config.world.max_velocity
-    )
-    potential = fear_potential(EmotionInputs(config.undesirability, likelihood, config.ig))
-    return FearState.from_potential(potential, config.fear_threshold)
-
-
 # ---------------------------------------------------------------------------
 # Emotion record stream (the fuzzy stage -> simulator bridge)
 # ---------------------------------------------------------------------------
@@ -310,15 +299,17 @@ def fear_state_at(config: ScenarioConfig, gap: float, speed_mph: float) -> FearS
 def import_simconnector(stream) -> list[EmotionInputs]:
     """Parse `undesirability,likelihood,ig` CSV lines into emotion records.
 
-    Accepts a string or a line iterable.  A header line is skipped when its
-    first field is not numeric.  The likelihood field may be left empty to
-    mean "compute per tick"; when present it overrides the per-tick value
-    on replay.  Values outside [0, 1] or malformed lines raise ValueError
-    with the offending line number.
+    Accepts a string or a line iterable.  The first non-blank, non-comment
+    line is skipped as a header when its first field is not numeric.  The
+    likelihood field may be left empty to mean "compute per tick"; when
+    present it overrides the per-tick value on replay.  Values outside
+    [0, 1] or malformed lines raise ValueError with the offending line
+    number.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     records: list[EmotionInputs] = []
+    first = True
     for lineno, raw in enumerate(stream, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -326,14 +317,13 @@ def import_simconnector(stream) -> list[EmotionInputs]:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 3 comma-separated fields, got {len(fields)}")
-        if lineno == 1 and not _is_float(fields[0]):
-            continue  # header
-        try:
-            undesirability = _parse_unit(fields[0], "undesirability", lineno)
-            likelihood = None if fields[1] == "" else _parse_unit(fields[1], "likelihood", lineno)
-            ig = _parse_unit(fields[2], "ig", lineno)
-        except ValueError:
-            raise
+        if first:
+            first = False
+            if not _is_float(fields[0]):
+                continue  # header
+        undesirability = _parse_unit(fields[0], "undesirability", lineno)
+        likelihood = None if fields[1] == "" else _parse_unit(fields[1], "likelihood", lineno)
+        ig = _parse_unit(fields[2], "ig", lineno)
         records.append(EmotionInputs(undesirability, likelihood, ig))
     return records
 

@@ -8,12 +8,10 @@ import pytest
 from fearsim.configio import (
     ConfigError,
     atomic_write,
-    load_display_calibration_doc,
     load_osd_calibration_doc,
     load_scenario_config,
     load_sweep_rows,
 )
-from fearsim.emotion import DISPLAY_PLATEAUS, INTENSITY_BANDS, classify_level
 
 
 def shipped(name):
@@ -51,6 +49,17 @@ def test_scenario_rejects_bad_value():
         load_scenario_config("[scenario]\nseparation = lots\n")
 
 
+@pytest.mark.parametrize("section,key,raw", [
+    ("scenario", "separation", "nan"),
+    ("world", "tick_seconds", "nan"),
+    ("scenario", "separation", "inf"),
+    ("world", "max_velocity", "inf"),
+])
+def test_scenario_rejects_non_finite_value(section, key, raw):
+    with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
+        load_scenario_config(f"[{section}]\n{key} = {raw}\n")
+
+
 def test_scenario_domain_errors_carry_source():
     with pytest.raises(ConfigError, match="myfile.cfg"):
         load_scenario_config("[scenario]\nseparation = -1\n", source="myfile.cfg")
@@ -60,18 +69,6 @@ def test_sweep_without_row_sections_is_single_row():
     rows, _ = load_sweep_rows("[scenario]\nseparation = 4\n")
     assert len(rows) == 1
     assert rows[0].separation == 4
-
-
-def test_display_calibration_matches_code_constants():
-    doc = load_display_calibration_doc(shipped("calibration.cfg"))
-    assert doc["bands"] == INTENSITY_BANDS
-    assert doc["plateaus"] == DISPLAY_PLATEAUS
-    assert doc["default_threshold"] == 0.0
-    for plateau, level_name in zip(doc["plateaus"], doc["levels"]):
-        # the recorded level of each plateau agrees with the classifier
-        level, display = classify_level(plateau / 100.0)
-        assert display == plateau
-        assert level.value == level_name
 
 
 def test_osd_calibration_parses_both_profiles():

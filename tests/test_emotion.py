@@ -6,7 +6,6 @@ from importlib import resources
 
 from fearsim.emotion import (
     DISPLAY_PLATEAUS,
-    INTENSITY_BANDS,
     EmotionInputs,
     FearLevel,
     classify_level,
@@ -51,7 +50,9 @@ def test_fear_base_has_125_rules():
 
 
 def test_intensity_bands_are_the_published_five():
-    assert INTENSITY_BANDS == ((0.0, 0.24), (0.1, 0.5), (0.25, 0.73), (0.51, 0.9), (0.76, 1.0))
+    published = [(0.0, 0.24), (0.1, 0.5), (0.25, 0.73), (0.51, 0.9), (0.76, 1.0)]
+    for rulebase in (likelihood_rulebase(), fear_rulebase()):
+        assert [(mf.left, mf.right) for _, mf in rulebase.output.terms] == published
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,10 @@ def test_intensity_validates_range():
     (0.76, FearLevel.VERY_HIGH, 76),
     (0.06, FearLevel.VERY_LOW, 6),
     (0.30, FearLevel.LOW, 26),
+    (0.16, FearLevel.VERY_LOW, 16),
+    (0.26, FearLevel.LOW, 26),
+    (0.36, FearLevel.LOW, 36),
+    (0.66, FearLevel.HIGH, 66),
 ])
 def test_classify_level_examples(intensity, level, display):
     got_level, got_display = classify_level(intensity)

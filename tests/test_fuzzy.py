@@ -13,7 +13,6 @@ from fearsim.fuzzy import (
     TriangularMF,
     defuzzify_centroid,
     eval_trimf,
-    evaluate,
     evaluate_additive,
     format_rules,
     parse_rules,
@@ -299,11 +298,6 @@ def test_evaluate_is_pure():
     first = rb.evaluate({"x": 0.37})
     for _ in range(5):
         assert rb.evaluate({"x": 0.37}) == first
-
-
-def test_module_level_evaluate_matches_method():
-    rb = _toy_rulebase()
-    assert evaluate(rb, {"x": 0.3}) == rb.evaluate({"x": 0.3})
 
 
 def test_additive_matches_consequent_centroid_at_peaks():

@@ -21,7 +21,7 @@ WORLD = WorldConfig()
 
 
 def bullet_at(speed, accel=0.06, decel=0.03):
-    return VehicleState("bullet", 0.0, speed, accel, decel)
+    return VehicleState(0.0, speed, accel, decel)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,11 @@ def test_import_plain_record():
 
 def test_import_skips_header():
     records = import_simconnector("undesirability,likelihood,ig\n0.5,0.5,0.5\n")
+    assert records == [EmotionInputs(0.5, 0.5, 0.5)]
+
+
+def test_import_skips_header_after_comment():
+    records = import_simconnector("# exported\nundesirability,likelihood,ig\n0.5,0.5,0.5\n")
     assert records == [EmotionInputs(0.5, 0.5, 0.5)]
 
 
