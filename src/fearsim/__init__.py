@@ -21,7 +21,7 @@ from .fuzzy import (
     TriangularMF,
     parse_rules,
 )
-from .monitors import InvariantReport, InvariantSpec, Verdict, check_comparison_invariants, check_trace_invariants
+from .monitors import InvariantReport, Verdict, check_comparison_invariants, check_trace_invariants
 from .sight import OsdParams, ReactionProfile, SsdParams, overtaking_sight_distance, stopping_sight_distance, to_sim_units
 from .sim import ScenarioConfig, TickRecord, Trace, VehicleState, WorldConfig, import_simconnector, run_scenario
 
@@ -32,7 +32,7 @@ __all__ = [
     "compute_likelihood", "fear_intensity", "fear_potential",
     "FuzzyRule", "LinguisticVariable", "RuleBase", "TriangularMF",
     "parse_rules",
-    "InvariantReport", "InvariantSpec", "Verdict",
+    "InvariantReport", "Verdict",
     "check_comparison_invariants", "check_trace_invariants",
     "OsdParams", "ReactionProfile", "SsdParams",
     "overtaking_sight_distance", "stopping_sight_distance", "to_sim_units",

@@ -59,14 +59,14 @@ def _series(points: list[tuple[float, float]], color: str) -> str:
     return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
-def trace_chart_svg(trace: Trace, title: str = "fear and gap per tick") -> str:
+def trace_chart_svg(trace: Trace) -> str:
     """Two-series line chart: fear display (0..100) and gap over ticks."""
     if not trace.records:
         raise ValueError("cannot chart an empty trace")
     n = len(trace.records)
     gaps = [r.distance for r in trace.records]
     gap_hi = max(max(gaps), 1.0)
-    parts = _header(title)
+    parts = _header("fear and gap per tick")
     fear_pts = [(_x_at(i, n), _y_at(r.fear_display, 0.0, 100.0))
                 for i, r in enumerate(trace.records)]
     gap_pts = [(_x_at(i, n), _y_at(g, 0.0, gap_hi)) for i, g in enumerate(gaps)]

@@ -92,8 +92,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     trace = trace_from_csv(_read(args.trace))
-    specs = monitors.default_trace_specs(args.very_small_gap)
-    reports = monitors.check_trace_invariants(trace, specs)
+    reports = monitors.check_trace_invariants(trace, args.very_small_gap)
     print(monitors.summarize_reports(reports))
     if args.out:
         atomic_write(args.out, monitors.reports_to_csv(reports))

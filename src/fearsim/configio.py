@@ -13,7 +13,9 @@ import configparser
 import math
 import os
 import tempfile
+from dataclasses import fields
 
+from .experiments import OsdCalibration, SweepSpec
 from .sim import ScenarioConfig, WorldConfig
 
 __all__ = [
@@ -29,16 +31,16 @@ class ConfigError(ValueError):
     """A configuration document failed to parse or validate."""
 
 
-_WORLD_KEYS = {
+# Every key a scenario document may set, with its type.  Any of them may
+# appear in any of the [world], [scenario], [emotion] and [scenario.N]
+# sections; the section names only group keys for the reader.
+_KEYS = {
     "tick_seconds": float,
     "patch_scale": float,
     "extent_min": float,
     "extent_max": float,
     "min_velocity": float,
     "max_velocity": float,
-}
-
-_SCENARIO_KEYS = {
     "kind": str,
     "separation": float,
     "ticks": int,
@@ -53,15 +55,13 @@ _SCENARIO_KEYS = {
     "reaction_profile": str,
     "osd_spacing": float,
     "osd_accel": float,
-}
-
-_EMOTION_KEYS = {
     "undesirability": float,
     "ig": float,
     "fear_threshold": float,
 }
 
-_ALL_KEYS = {**_WORLD_KEYS, **_SCENARIO_KEYS, **_EMOTION_KEYS}
+# [sweep] keys and their defaults, as SweepSpec declares them.
+_SWEEP_DEFAULTS = {f.name: f.default for f in fields(SweepSpec) if f.name != "rows"}
 
 
 def _read_ini(text: str, source: str) -> configparser.ConfigParser:
@@ -74,7 +74,7 @@ def _read_ini(text: str, source: str) -> configparser.ConfigParser:
 
 
 def _coerce(key: str, raw: str, source: str):
-    kind = _ALL_KEYS[key]
+    kind = _KEYS[key]
     try:
         if kind is bool:
             lowered = raw.strip().lower()
@@ -97,7 +97,7 @@ def _collect(parser: configparser.ConfigParser, sections: list[str], source: str
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
             values[key] = _coerce(key, raw, source)
     return values
@@ -106,7 +106,8 @@ def _collect(parser: configparser.ConfigParser, sections: list[str], source: str
 def _build_scenario(values: dict, source: str) -> ScenarioConfig:
     world_kwargs = {}
     if "extent_min" in values or "extent_max" in values:
-        world_kwargs["extent"] = (values.pop("extent_min", -25.0), values.pop("extent_max", 25.0))
+        lo, hi = WorldConfig().extent
+        world_kwargs["extent"] = (values.pop("extent_min", lo), values.pop("extent_max", hi))
     for key in ("tick_seconds", "patch_scale", "min_velocity", "max_velocity"):
         if key in values:
             world_kwargs[key] = values.pop(key)
@@ -135,15 +136,22 @@ def load_sweep_rows(text: str, source: str = "<config>") -> tuple[list[ScenarioC
     """Parse a sweep document into scenario rows plus sweep settings.
 
     Returns (rows, settings) where settings carries ``repetitions``,
-    ``ticks`` and ``base_seed`` from the [sweep] section.
+    ``ticks`` and ``base_seed`` from the [sweep] section.  The sweep sets
+    every run's ticks and seed, so a scenario section that sets either is
+    rejected rather than silently overridden.
     """
     parser = _read_ini(text, source)
-    shared = _collect(parser, ["world", "scenario", "emotion"], source)
-
     row_sections = sorted(
         (s for s in parser.sections() if s.startswith("scenario.")),
         key=lambda s: int(s.split(".", 1)[1]),
     )
+    for section in ["world", "scenario", "emotion", *row_sections]:
+        for key, setting in (("ticks", "ticks"), ("seed", "base_seed")):
+            if parser.has_option(section, key):
+                raise ConfigError(f"{source}: {key!r} in [{section}] is set per run by the sweep; "
+                                  f"use {setting!r} in [sweep]")
+    shared = _collect(parser, ["world", "scenario", "emotion"], source)
+
     rows = []
     if row_sections:
         for section in row_sections:
@@ -153,7 +161,7 @@ def load_sweep_rows(text: str, source: str = "<config>") -> tuple[list[ScenarioC
     else:
         rows.append(_build_scenario(dict(shared), source))
 
-    settings = {"repetitions": 50, "ticks": 100, "base_seed": 0}
+    settings = dict(_SWEEP_DEFAULTS)
     if parser.has_section("sweep"):
         for key, raw in parser.items("sweep"):
             if key not in settings:
@@ -171,8 +179,6 @@ def load_osd_calibration_doc(text: str, source: str = "<calibration>"):
     Sections are ``[osd <profile>]`` with an optional ``reaction_time``
     and ``row.N = speed_mph spacing_ft accel_ftps2`` entries.
     """
-    from .experiments import OsdCalibration
-
     parser = _read_ini(text, source)
     reaction_time: dict[str, float] = {}
     anchors: dict[str, tuple] = {}

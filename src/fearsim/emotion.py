@@ -7,8 +7,9 @@ the global significance *ig*) into a fear *potential*.  Potential above a
 threshold becomes *intensity*, which quantizes onto seven display plateaus
 and five named levels.
 
-Both rule bases ship as plain-text rule files under ``fearsim/data`` and can
-be swapped out; the module-level helpers use the shipped defaults.
+Both rule bases ship as plain-text rule files under ``fearsim/data``, and
+the module-level helpers always use them.  A custom rule base goes through
+``RuleBase.evaluate``, ``evaluate_additive`` or ``fearsim fuzzy-eval --rules``.
 """
 
 from __future__ import annotations
@@ -106,18 +107,16 @@ def fear_rulebase() -> RuleBase:
     return _load_rules("fear.rules")
 
 
-def compute_likelihood(distance_norm: float, speed_norm: float,
-                       rulebase: RuleBase | None = None) -> float:
+def compute_likelihood(distance_norm: float, speed_norm: float) -> float:
     """Accident likelihood in [0, 1] from normalized gap and speed.
 
     Inputs are raw gap divided by the world span and raw speed divided by
     the maximum velocity; both must already be in [0, 1].
     """
-    rb = rulebase if rulebase is not None else likelihood_rulebase()
-    return rb.evaluate({"distance": distance_norm, "speed": speed_norm})
+    return likelihood_rulebase().evaluate({"distance": distance_norm, "speed": speed_norm})
 
 
-def fear_potential(inputs: EmotionInputs, rulebase: RuleBase | None = None) -> float:
+def fear_potential(inputs: EmotionInputs) -> float:
     """Fear potential in [0, 1]; monotone non-decreasing in each input.
 
     Uses the additive inference variant: clip/max inference is not
@@ -127,8 +126,7 @@ def fear_potential(inputs: EmotionInputs, rulebase: RuleBase | None = None) -> f
     """
     if inputs.likelihood is None:
         raise ValueError("fear_potential needs a concrete likelihood value")
-    rb = rulebase if rulebase is not None else fear_rulebase()
-    return evaluate_additive(rb, {
+    return evaluate_additive(fear_rulebase(), {
         "undesirability": inputs.undesirability,
         "likelihood": inputs.likelihood,
         "ig": inputs.ig,

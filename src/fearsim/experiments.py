@@ -126,10 +126,9 @@ def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMA
             configs.append((row_index, repetition, replace(
                 row, ticks=spec.ticks, seed=spec.base_seed + index)))
     runs = []
-    trace_specs = monitors.default_trace_specs(very_small_gap)
     for row_index, repetition, config in configs:
         trace = run_scenario(config)
-        reports = monitors.check_trace_invariants(trace, trace_specs)
+        reports = monitors.check_trace_invariants(trace, very_small_gap)
         displays = [r.fear_display for r in trace.records]
         gaps = [r.distance for r in trace.records]
         runs.append(RunResult(
@@ -202,9 +201,11 @@ class ComparisonTable:
         return cls(tuple(rows))
 
 
+_DT = 1e-3  # integration step of the measured distances, seconds
+
+
 def measured_stopping_distance(speed_mph: float, reaction_time: float,
-                               deceleration: float = DEFAULT_DECELERATION_FTPS2,
-                               dt: float = 1e-3) -> float:
+                               deceleration: float = DEFAULT_DECELERATION_FTPS2) -> float:
     """Stopping distance in feet from explicit kinematic integration.
 
     Independent of the closed-form expression: travel at speed for the
@@ -213,14 +214,13 @@ def measured_stopping_distance(speed_mph: float, reaction_time: float,
     v = speed_mph * MPH_TO_FPS
     distance = v * reaction_time
     while v > 0:
-        v = max(0.0, v - deceleration * dt)
-        distance += v * dt
+        v = max(0.0, v - deceleration * _DT)
+        distance += v * _DT
     return distance
 
 
 def measured_overtaking_distance(speed_mph: float, reaction_time: float,
-                                 spacing: float, acceleration: float,
-                                 dt: float = 1e-3) -> float:
+                                 spacing: float, acceleration: float) -> float:
     """Overtaking distance in feet from explicit kinematic integration.
 
     Reaction travel, then the passing maneuver: time to cover twice the
@@ -232,15 +232,14 @@ def measured_overtaking_distance(speed_mph: float, reaction_time: float,
     covered = 0.0
     lateral_v = 0.0
     while covered < 2.0 * spacing:
-        lateral_v += acceleration * dt
-        covered += lateral_v * dt
-        distance += v * dt
+        lateral_v += acceleration * _DT
+        covered += lateral_v * _DT
+        distance += v * _DT
     return distance
 
 
 def compare_ssd(speeds_mph: list[float],
-                profiles: tuple[ReactionProfile, ReactionProfile] = (AGENT_PROFILE, HUMAN_PROFILE),
-                deceleration: float = DEFAULT_DECELERATION_FTPS2) -> ComparisonTable:
+                profiles: tuple[ReactionProfile, ReactionProfile] = (AGENT_PROFILE, HUMAN_PROFILE)) -> ComparisonTable:
     """Agent-vs-human stopping distance per speed, formula beside measurement.
 
     A row is successful when the integrated braking maneuver stops within
@@ -251,10 +250,10 @@ def compare_ssd(speeds_mph: list[float],
     agent, human = profiles
     rows = []
     for v in speeds_mph:
-        agent_ft = stopping_sight_distance(SsdParams(v, agent.reaction_time, deceleration))
-        human_ft = stopping_sight_distance(SsdParams(v, human.reaction_time, deceleration))
-        agent_measured = measured_stopping_distance(v, agent.reaction_time, deceleration)
-        human_measured = measured_stopping_distance(v, human.reaction_time, deceleration)
+        agent_ft = stopping_sight_distance(SsdParams(v, agent.reaction_time))
+        human_ft = stopping_sight_distance(SsdParams(v, human.reaction_time))
+        agent_measured = measured_stopping_distance(v, agent.reaction_time)
+        human_measured = measured_stopping_distance(v, human.reaction_time)
         success = (_close(agent_measured, agent_ft) and _close(human_measured, human_ft))
         rows.append(ComparisonRow(v, agent_ft, human_ft, "rear_end", success,
                                   agent_measured, human_measured))

@@ -33,7 +33,7 @@ __all__ = [
     "format_rules",
 ]
 
-DEFAULT_RESOLUTION = 1001
+_RESOLUTION = 1001  # output-domain samples for the centroid
 
 
 class RuleParseError(ValueError):
@@ -153,10 +153,6 @@ class FuzzySet:
         self.samples = samples
         self.grid = np.linspace(self.lo, self.hi, samples.size)
 
-    @property
-    def resolution(self) -> int:
-        return self.samples.size
-
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -172,11 +168,8 @@ class RuleBase:
     inputs: tuple[LinguisticVariable, ...]
     output: LinguisticVariable
     rules: tuple[FuzzyRule, ...]
-    resolution: int = DEFAULT_RESOLUTION
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
         position = {v.name: p for p, v in enumerate(self.inputs)}
         if self.output.name in position:
             raise ValueError(f"output variable {self.output.name!r} shadows an input")
@@ -208,7 +201,7 @@ class RuleBase:
         # Sampling grid and per-term output samples are pure functions of the
         # immutable fields; precompute once so evaluation stays cheap.
         lo, hi = self.output.domain
-        grid = np.linspace(lo, hi, self.resolution)
+        grid = np.linspace(lo, hi, _RESOLUTION)
         term_rows = np.vstack([mf.sample(grid) for _, mf in self.output.terms])
         centroids = (term_rows * grid).sum(axis=1) / term_rows.sum(axis=1)
         object.__setattr__(self, "_compiled", tuple(compiled))
@@ -257,7 +250,7 @@ class RuleBase:
         if not any(strongest):
             return InferenceResult(value=(lo + hi) / 2.0, degenerate=True)
 
-        aggregate = np.zeros(self.resolution)
+        aggregate = np.zeros(_RESOLUTION)
         for row, strength in zip(self._term_rows, strongest):
             if strength > 0.0:
                 np.maximum(aggregate, np.minimum(row, strength), out=aggregate)
@@ -343,7 +336,7 @@ def _parse_float(text: str, lineno: int, col: int) -> float:
         raise RuleParseError(f"expected a number, got {text!r}", lineno, col) from None
 
 
-def parse_rules(text: str, resolution: int = DEFAULT_RESOLUTION) -> RuleBase:
+def parse_rules(text: str) -> RuleBase:
     """Parse a self-contained rule document into a RuleBase.
 
     Raises :class:`RuleParseError` with line/column on syntax errors,
@@ -432,7 +425,7 @@ def parse_rules(text: str, resolution: int = DEFAULT_RESOLUTION) -> RuleBase:
     output = LinguisticVariable(outputs[0], var_domain[outputs[0]], tuple(var_terms[outputs[0]]))
     if not rules:
         raise RuleParseError("document contains no rules", lineno if text else 1)
-    return RuleBase(name=name, inputs=inputs, output=output, rules=tuple(rules), resolution=resolution)
+    return RuleBase(name=name, inputs=inputs, output=output, rules=tuple(rules))
 
 
 def _parse_rule_line(tokens, lineno, var_kind, var_terms) -> FuzzyRule:

@@ -6,7 +6,7 @@ run.  Each invariant is a precondition/postcondition pair; a report says
 whether the postcondition held everywhere the precondition armed, and a
 ``vacuous`` verdict records that the precondition never armed at all.
 
-Built-in invariants:
+Invariants:
 
 * Inv1A  - whenever the gap is very small, fear is High or VeryHigh.
 * Inv1B  - while the gap strictly shrinks (bullet not slowing), the fear
@@ -26,20 +26,12 @@ from .sim import Trace
 
 __all__ = [
     "Verdict",
-    "InvariantSpec",
     "InvariantReport",
-    "TRACE_INVARIANT_IDS",
-    "COMPARISON_INVARIANT_IDS",
-    "default_trace_specs",
-    "default_comparison_specs",
     "check_trace_invariants",
     "check_comparison_invariants",
     "reports_to_csv",
     "summarize_reports",
 ]
-
-TRACE_INVARIANT_IDS = ("Inv1A", "Inv1B")
-COMPARISON_INVARIANT_IDS = ("Inv2", "Inv3")
 
 DEFAULT_VERY_SMALL_GAP = 3.0  # sim units
 
@@ -54,13 +46,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class InvariantSpec:
-    id: str
-    description: str
-    parameters: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     invariant_id: str
     verdict: Verdict
@@ -72,45 +57,17 @@ class InvariantReport:
         return self.verdict is not Verdict.VIOLATED
 
 
-def default_trace_specs(very_small_gap: float = DEFAULT_VERY_SMALL_GAP) -> list[InvariantSpec]:
-    return [
-        InvariantSpec(
-            id="Inv1A",
-            description="gap below the very-small threshold implies High or VeryHigh fear",
-            parameters={"very_small_gap": very_small_gap},
-        ),
-        InvariantSpec(
-            id="Inv1B",
-            description="fear display non-decreasing over strictly-closing windows",
-            parameters={},
-        ),
-    ]
+def _verdict(evidence: list, armed: bool) -> Verdict:
+    return Verdict.VIOLATED if evidence else (Verdict.PASS if armed else Verdict.VACUOUS)
 
 
-def default_comparison_specs() -> list[InvariantSpec]:
-    return [
-        InvariantSpec(id="Inv2", description="agent stopping distance below human, per successful rear-end row"),
-        InvariantSpec(id="Inv3", description="agent overtaking distance below human, per successful overtaking row"),
-    ]
+def check_trace_invariants(trace: Trace,
+                           very_small_gap: float = DEFAULT_VERY_SMALL_GAP) -> list[InvariantReport]:
+    """Reports for Inv1A and Inv1B, in that order."""
+    return [_check_inv1a(trace, float(very_small_gap)), _check_inv1b(trace)]
 
 
-def check_trace_invariants(trace: Trace, specs: list[InvariantSpec] | None = None) -> list[InvariantReport]:
-    """Evaluate trace invariants; unknown invariant ids raise ValueError."""
-    if specs is None:
-        specs = default_trace_specs()
-    reports = []
-    for spec in specs:
-        if spec.id == "Inv1A":
-            reports.append(_check_inv1a(trace, spec))
-        elif spec.id == "Inv1B":
-            reports.append(_check_inv1b(trace, spec))
-        else:
-            raise ValueError(f"unknown trace invariant {spec.id!r}")
-    return reports
-
-
-def _check_inv1a(trace: Trace, spec: InvariantSpec) -> InvariantReport:
-    threshold = float(spec.parameters.get("very_small_gap", DEFAULT_VERY_SMALL_GAP))
+def _check_inv1a(trace: Trace, threshold: float) -> InvariantReport:
     armed = False
     evidence = []
     for r in trace.records:
@@ -118,8 +75,7 @@ def _check_inv1a(trace: Trace, spec: InvariantSpec) -> InvariantReport:
             armed = True
             if r.fear_level not in (FearLevel.HIGH, FearLevel.VERY_HIGH):
                 evidence.append((r.tick, f"gap={r.distance:.4f} fear={r.fear_level}({r.fear_display})"))
-    verdict = Verdict.VIOLATED if evidence else (Verdict.PASS if armed else Verdict.VACUOUS)
-    return InvariantReport("Inv1A", verdict, tuple(evidence), {"very_small_gap": threshold})
+    return InvariantReport("Inv1A", _verdict(evidence, armed), tuple(evidence), {"very_small_gap": threshold})
 
 
 def _closing_windows(trace: Trace) -> list[tuple[int, int]]:
@@ -139,7 +95,7 @@ def _closing_windows(trace: Trace) -> list[tuple[int, int]]:
     return windows
 
 
-def _check_inv1b(trace: Trace, spec: InvariantSpec) -> InvariantReport:
+def _check_inv1b(trace: Trace) -> InvariantReport:
     windows = _closing_windows(trace)
     evidence = []
     for lo, hi in windows:
@@ -148,35 +104,27 @@ def _check_inv1b(trace: Trace, spec: InvariantSpec) -> InvariantReport:
             if cur.fear_display < prev.fear_display:
                 evidence.append((cur.tick, f"display {prev.fear_display}->{cur.fear_display} while gap "
                                            f"{prev.distance:.4f}->{cur.distance:.4f}"))
-    verdict = Verdict.VIOLATED if evidence else (Verdict.PASS if windows else Verdict.VACUOUS)
-    return InvariantReport("Inv1B", verdict, tuple(evidence), {"windows": len(windows)})
+    return InvariantReport("Inv1B", _verdict(evidence, bool(windows)), tuple(evidence), {"windows": len(windows)})
 
 
-def check_comparison_invariants(table, specs: list[InvariantSpec] | None = None) -> list[InvariantReport]:
-    """Evaluate row-wise dominance invariants on a comparison table.
+def check_comparison_invariants(table) -> list[InvariantReport]:
+    """Reports for Inv2 (rear_end rows) and Inv3 (overtaking rows), in that order.
 
-    Inv2 covers rear_end rows, Inv3 overtaking rows; rows whose success
-    flag is false are outside the precondition.
+    Rows whose success flag is false are outside the precondition.
     """
-    if specs is None:
-        specs = default_comparison_specs()
-    kind_of = {"Inv2": "rear_end", "Inv3": "overtaking"}
-    reports = []
-    for spec in specs:
-        if spec.id not in kind_of:
-            raise ValueError(f"unknown comparison invariant {spec.id!r}")
-        kind = kind_of[spec.id]
-        armed = False
-        evidence = []
-        for idx, row in enumerate(table.rows):
-            if row.kind != kind or not row.success:
-                continue
-            armed = True
-            if not row.agent_ft < row.human_ft:
-                evidence.append((idx, f"speed={row.speed_mph} agent={row.agent_ft:.3f} human={row.human_ft:.3f}"))
-        verdict = Verdict.VIOLATED if evidence else (Verdict.PASS if armed else Verdict.VACUOUS)
-        reports.append(InvariantReport(spec.id, verdict, tuple(evidence)))
-    return reports
+    return [_check_dominance(table, "Inv2", "rear_end"), _check_dominance(table, "Inv3", "overtaking")]
+
+
+def _check_dominance(table, invariant_id: str, kind: str) -> InvariantReport:
+    armed = False
+    evidence = []
+    for idx, row in enumerate(table.rows):
+        if row.kind != kind or not row.success:
+            continue
+        armed = True
+        if not row.agent_ft < row.human_ft:
+            evidence.append((idx, f"speed={row.speed_mph} agent={row.agent_ft:.3f} human={row.human_ft:.3f}"))
+    return InvariantReport(invariant_id, _verdict(evidence, armed), tuple(evidence))
 
 
 def reports_to_csv(reports: list[InvariantReport]) -> str:

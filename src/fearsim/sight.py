@@ -1,8 +1,8 @@
 """Stopping and overtaking sight distance calculators.
 
 Distances are computed in feet; vehicle speed enters the stopping formula
-in mph and the overtaking formula in ft/s.  One simulation unit equals
-100 feet of road, so helpers convert between the two scales.
+in mph and the overtaking formula in ft/s.  ``to_sim_units`` converts feet
+to simulation units at the default world scale of 100 feet per unit.
 """
 
 from __future__ import annotations

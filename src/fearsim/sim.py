@@ -5,7 +5,8 @@ single lane.  Each tick the bullet senses the gap, computes an accident
 likelihood from (gap, speed), runs the fear pipeline, and picks a
 maneuver from the resulting fear level; the target follows a fixed
 alternating accelerate/decelerate schedule.  Positions live in
-simulation units (1 unit = 100 ft), speeds in mph.
+simulation units (``world.patch_scale`` feet each, 100 by default),
+speeds in mph.
 
 Runs are deterministic: the only randomness is an optional seeded jitter
 of the target's schedule phase, used by sweep repetitions.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .emotion import (
     EmotionInputs,
@@ -26,13 +28,13 @@ from .emotion import (
     fear_potential,
 )
 from .sight import (
+    FEET_PER_SIM_UNIT,
     MPH_TO_FPS,
     OsdParams,
     SsdParams,
     overtaking_sight_distance,
     profile_by_name,
     stopping_sight_distance,
-    to_sim_units,
 )
 
 __all__ = [
@@ -65,7 +67,7 @@ class CollisionError(Exception):
 @dataclass(frozen=True)
 class WorldConfig:
     extent: tuple[float, float] = (-25.0, 25.0)
-    patch_scale: float = 100.0          # feet per simulation unit
+    patch_scale: float = FEET_PER_SIM_UNIT
     tick_seconds: float = 0.1
     min_velocity: float = 10.0          # mph
     max_velocity: float = 100.0         # mph
@@ -136,7 +138,14 @@ class ScenarioConfig:
         """Deterministic target-schedule offset for this config's seed."""
         if self.phase_jitter_ticks == 0:
             return 0
-        return random.Random(self.seed).randrange(self.phase_jitter_ticks + 1)
+        return _phase_offset(self.seed, self.phase_jitter_ticks)
+
+
+@lru_cache(maxsize=256)
+def _phase_offset(seed: int, jitter_ticks: int) -> int:
+    # Called once per tick with the same pair for a whole run; seeding a
+    # Random every time would cost more than the schedule step itself.
+    return random.Random(seed).randrange(jitter_ticks + 1)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ def _required_sight_distance(config: ScenarioConfig, speed_mph: float) -> float:
         ))
     else:
         feet = stopping_sight_distance(SsdParams(speed_mph=speed_mph, reaction_time=t))
-    return to_sim_units(feet)
+    return feet / config.world.patch_scale
 
 
 def step(config: ScenarioConfig, bullet: VehicleState, target: VehicleState,

@@ -74,6 +74,18 @@ def test_validate_violating_trace_exits_3(tmp_path, capsys):
     assert "Inv1A: violated" in capsys.readouterr().out
 
 
+def test_validate_passes_very_small_gap_to_the_monitors(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text(
+        "tick,ssd,distance,fear_display,fear_level,bullet_speed,target_speed\n"
+        "0,0.16,5.0,49,Medium,10.0,10.0\n"
+    )
+    assert main(["validate", "--trace", str(trace_path)]) == 0
+    assert "Inv1A: vacuous" in capsys.readouterr().out
+    assert main(["validate", "--trace", str(trace_path), "--very-small-gap", "6"]) == 3
+    assert "Inv1A: violated" in capsys.readouterr().out
+
+
 def test_validate_writes_report(tmp_path, data_file):
     trace_path = tmp_path / "trace.csv"
     main(["simulate", "--config", data_file("replay_close_gap_low_speed.cfg"),

@@ -71,6 +71,14 @@ def test_sweep_without_row_sections_is_single_row():
     assert rows[0].separation == 4
 
 
+@pytest.mark.parametrize("section", ["world", "scenario", "scenario.1"])
+@pytest.mark.parametrize("key,setting", [("ticks", "ticks"), ("seed", "base_seed")])
+def test_sweep_rejects_per_run_keys_in_scenario_sections(section, key, setting):
+    text = f"[sweep]\nticks = 7\n[{section}]\n{key} = 42\n"
+    with pytest.raises(ConfigError, match=rf"'{key}' in \[{section}\].*'{setting}' in \[sweep\]"):
+        load_sweep_rows(text, source="mine.cfg")
+
+
 def test_osd_calibration_parses_both_profiles():
     calibration = load_osd_calibration_doc(shipped("calibration.cfg"))
     assert set(calibration.anchors) == {"eeec_agent", "human"}

@@ -15,6 +15,7 @@ from fearsim.experiments import (
     run_sweep,
     write_sweep_dir,
 )
+from fearsim.monitors import Verdict
 from fearsim.sight import AGENT_PROFILE, HUMAN_PROFILE, SsdParams, stopping_sight_distance
 from fearsim.sim import ScenarioConfig
 
@@ -61,6 +62,15 @@ def test_sweep_attaches_reports_per_run():
     dataset = run_sweep(small_spec(rows=1, reps=2))
     for run in dataset.runs:
         assert {rep.invariant_id for rep in run.reports} == {"Inv1A", "Inv1B"}
+
+
+def test_sweep_passes_very_small_gap_to_the_monitors():
+    spec = SweepSpec(rows=(ScenarioConfig(separation=9.0),), repetitions=1, ticks=40)
+    default = run_sweep(spec).runs[0].reports[0]
+    wide = run_sweep(spec, very_small_gap=100.0).runs[0].reports[0]
+    assert default.verdict is Verdict.VACUOUS
+    assert wide.verdict is not Verdict.VACUOUS
+    assert wide.parameters["very_small_gap"] == 100.0
 
 
 def test_sweep_aggregates_recomputable_from_traces():

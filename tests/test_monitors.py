@@ -1,14 +1,11 @@
 """Invariant monitors: verdicts, evidence, and non-interference."""
 
-import pytest
-
 from fearsim.emotion import FearLevel
 from fearsim.experiments import ComparisonRow, ComparisonTable
 from fearsim.monitors import (
     Verdict,
     check_comparison_invariants,
     check_trace_invariants,
-    default_trace_specs,
     reports_to_csv,
     summarize_reports,
 )
@@ -68,7 +65,7 @@ def test_inv1a_vacuous_when_gap_never_small():
 
 def test_inv1a_threshold_is_configurable_and_recorded():
     trace = synthetic_trace([(5.0, FearLevel.LOW)])
-    report = check_trace_invariants(trace, default_trace_specs(very_small_gap=6.0))[0]
+    report = check_trace_invariants(trace, very_small_gap=6.0)[0]
     assert report.verdict is Verdict.VIOLATED
     assert report.parameters["very_small_gap"] == 6.0
 
@@ -121,14 +118,6 @@ def test_inv1b_window_requires_non_decreasing_speed():
     ])
     report = check_trace_invariants(trace)[1]
     assert report.verdict is Verdict.VACUOUS
-
-
-def test_unknown_invariant_id_rejected():
-    from fearsim.monitors import InvariantSpec
-
-    trace = synthetic_trace([(5.0, FearLevel.LOW)])
-    with pytest.raises(ValueError, match="unknown trace invariant"):
-        check_trace_invariants(trace, [InvariantSpec(id="Inv9", description="")])
 
 
 # ---------------------------------------------------------------------------

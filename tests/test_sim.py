@@ -186,6 +186,15 @@ def test_overtaking_kind_records_overtaking_distance():
     assert trace.records[0].ssd == pytest.approx(want)
 
 
+@pytest.mark.parametrize("kind", ["rear_end", "overtaking"])
+def test_ssd_is_in_the_world_patch_scale(kind):
+    full = run_scenario(ScenarioConfig(kind=kind, ticks=1)).records[0]
+    half = run_scenario(ScenarioConfig(kind=kind, ticks=1,
+                                       world=WorldConfig(patch_scale=50.0))).records[0]
+    assert half.bullet_speed == full.bullet_speed
+    assert half.ssd == 2 * full.ssd
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         ScenarioConfig(separation=0.0)
