@@ -62,6 +62,8 @@ _KEYS = {
 
 # [sweep] keys and their defaults, as SweepSpec declares them.
 _SWEEP_DEFAULTS = {f.name: f.default for f in fields(SweepSpec) if f.name != "rows"}
+# Smallest value of each bounded [sweep] key that SweepSpec accepts.
+_SWEEP_MINIMUM = {"repetitions": 1, "ticks": 0}
 
 
 def _read_ini(text: str, source: str) -> configparser.ConfigParser:
@@ -75,6 +77,8 @@ def _read_ini(text: str, source: str) -> configparser.ConfigParser:
 
 def _coerce(key: str, raw: str, source: str):
     kind = _KEYS[key]
+    if kind is float:
+        return _finite(key, raw, source)
     try:
         if kind is bool:
             lowered = raw.strip().lower()
@@ -83,10 +87,18 @@ def _coerce(key: str, raw: str, source: str):
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        value = kind(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{source}: bad value for {key!r}: {raw!r}") from None
-    if kind is float and not math.isfinite(value):
+
+
+def _finite(key: str, raw: str, source: str) -> float:
+    """``raw`` as a finite float; a ConfigError naming source and key otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{source}: bad value for {key!r}: {raw!r}") from None
+    if not math.isfinite(value):
         raise ConfigError(f"{source}: {key!r} must be a finite number, got {raw!r}")
     return value
 
@@ -170,6 +182,9 @@ def load_sweep_rows(text: str, source: str = "<config>") -> tuple[list[ScenarioC
                 settings[key] = int(raw)
             except ValueError:
                 raise ConfigError(f"{source}: bad value for {key!r}: {raw!r}") from None
+            if key in _SWEEP_MINIMUM and settings[key] < _SWEEP_MINIMUM[key]:
+                raise ConfigError(f"{source}: {key!r} in [sweep] must be at least "
+                                  f"{_SWEEP_MINIMUM[key]}, got {raw!r}")
     return rows, settings
 
 
@@ -186,15 +201,16 @@ def load_osd_calibration_doc(text: str, source: str = "<calibration>"):
         if not section.startswith("osd "):
             continue
         profile = section[4:].strip()
+        where = f"{source} [{section}]"
         rows = []
         for key, raw in parser.items(section):
             if key == "reaction_time":
-                reaction_time[profile] = float(raw)
+                reaction_time[profile] = _finite(key, raw, where)
             elif key.startswith("row."):
                 parts = raw.split()
                 if len(parts) != 3:
-                    raise ConfigError(f"{source}: {key} needs 'speed spacing accel', got {raw!r}")
-                rows.append(tuple(float(p) for p in parts))
+                    raise ConfigError(f"{where}: {key} needs 'speed spacing accel', got {raw!r}")
+                rows.append(tuple(_finite(key, p, where) for p in parts))
             else:
                 raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
         if rows:

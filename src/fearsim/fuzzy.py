@@ -3,7 +3,13 @@
 The engine is deliberately small: triangular MFs only.  Each rule base
 compiles its rules once; Mamdani inference (min implication, max
 aggregation, centroid) and the additive variant (product, centre-average)
-share one validated fuzzification of the inputs.  Rule bases are parsed
+share one validated fuzzification of the inputs.  That step also picks the
+rules that can fire: a bitmask per (input, term) marks the rules naming
+that term, so ANDing, over the inputs, the masks of the nonzero terms
+(plus the rules that leave the input out) drops every rule with a
+zero-degree antecedent.  Only those candidates are visited, in rule
+order; on the strong partitions of the shipped rule bases that is at most
+4 of 25 and 8 of 125 rules.  Rule bases are parsed
 from a line-oriented text format (see :func:`parse_rules`) so the shipped
 rule files stay inspectable and editable without touching code.
 
@@ -123,10 +129,6 @@ class LinguisticVariable:
                 return mf
         raise KeyError(f"{self.name}: unknown term {token!r}")
 
-    def contains(self, x: float) -> bool:
-        lo, hi = self.domain
-        return lo <= x <= hi
-
 
 @dataclass(frozen=True)
 class FuzzyRule:
@@ -176,8 +178,13 @@ class RuleBase:
         input_terms = [{t: k for k, (t, _) in enumerate(v.terms)} for v in self.inputs]
         output_index = {t: k for k, (t, _) in enumerate(self.output.terms)}
         # Each rule compiles to ((input position, term index), ...) plus the
-        # consequent term index, so evaluation never looks up a name.
+        # consequent term index, so evaluation never looks up a name.  Bit i
+        # of term_rules[p][k] marks rule i as naming term k of input p; bit i
+        # of free[p] marks rule i as not mentioning input p at all.
         compiled = []
+        all_rules = (1 << len(self.rules)) - 1
+        term_rules = [[0] * len(v.terms) for v in self.inputs]
+        free = [all_rules] * len(self.inputs)
         seen: dict[tuple, int] = {}
         for i, rule in enumerate(self.rules):
             antecedents = []
@@ -187,7 +194,10 @@ class RuleBase:
                 p = position[var]
                 if term not in input_terms[p]:
                     raise ValueError(f"rule {i + 1}: unknown term {var}.{term}")
-                antecedents.append((p, input_terms[p][term]))
+                k = input_terms[p][term]
+                antecedents.append((p, k))
+                term_rules[p][k] |= 1 << i
+                free[p] &= ~(1 << i)
             cvar, cterm = rule.consequent
             if cvar != self.output.name:
                 raise ValueError(f"rule {i + 1}: consequent variable must be {self.output.name!r}")
@@ -198,6 +208,14 @@ class RuleBase:
                 raise ValueError(f"rule {i + 1}: duplicate antecedent set (same as rule {seen[key]})")
             seen[key] = i + 1
             compiled.append((tuple(antecedents), output_index[cterm]))
+        # Per input: its name, domain, (left, peak, right) per term with the
+        # term's rule mask, and the mask of rules free of that input.
+        fuzzifiers = tuple(
+            (v.name, *v.domain,
+             tuple(((mf.left, mf.peak, mf.right), rules) for (_, mf), rules in zip(v.terms, masks)),
+             free_p)
+            for v, masks, free_p in zip(self.inputs, term_rules, free)
+        )
         # Sampling grid and per-term output samples are pure functions of the
         # immutable fields; precompute once so evaluation stays cheap.
         lo, hi = self.output.domain
@@ -205,29 +223,57 @@ class RuleBase:
         term_rows = np.vstack([mf.sample(grid) for _, mf in self.output.terms])
         centroids = (term_rows * grid).sum(axis=1) / term_rows.sum(axis=1)
         object.__setattr__(self, "_compiled", tuple(compiled))
+        object.__setattr__(self, "_fuzzifiers", fuzzifiers)
+        object.__setattr__(self, "_all_rules", all_rules)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_term_rows", term_rows)
         object.__setattr__(self, "_term_centroid", tuple(float(c) for c in centroids))
 
-    def _memberships(self, inputs: dict[str, float]) -> list[list[float]]:
-        """Per input variable, the degree of its crisp value under each term.
+    def _fire(self, inputs: dict[str, float]) -> tuple[list[list[float]], list[tuple]]:
+        """Fuzzify ``inputs``; return the degrees and the rules that can fire.
 
         The one validation path for both inference variants: ``inputs``
         must carry exactly one value per input variable, inside its domain.
+        Degrees come per input variable, one per term.  A rule can fire only
+        if, for every input it names, one of the terms it names there has a
+        nonzero degree; every other rule has strength 0 under both min and
+        product, so leaving it out changes no result.  The rules that can
+        fire come back compiled, in rule order.
         """
         unknown = set(inputs) - {v.name for v in self.inputs}
         if unknown:
             raise ValueError(f"unexpected input variables: {sorted(unknown)}")
         memberships = []
-        for var in self.inputs:
-            if var.name not in inputs:
-                raise ValueError(f"missing input variable {var.name!r}")
-            x = float(inputs[var.name])
-            if not var.contains(x):
-                lo, hi = var.domain
-                raise ValueError(f"{var.name}={x} outside domain [{lo}, {hi}]")
-            memberships.append([eval_trimf(mf, x) for _, mf in var.terms])
-        return memberships
+        mask = self._all_rules
+        for name, lo, hi, terms, allowed in self._fuzzifiers:
+            if name not in inputs:
+                raise ValueError(f"missing input variable {name!r}")
+            x = float(inputs[name])
+            if not lo <= x <= hi:
+                raise ValueError(f"{name}={x} outside domain [{lo}, {hi}]")
+            degrees = []
+            for (left, peak, right), rules in terms:
+                # eval_trimf inlined, with the same expressions.
+                if x == peak:
+                    degree = 1.0
+                elif x <= left or x >= right:
+                    degree = 0.0
+                elif x < peak:
+                    degree = (x - left) / (peak - left)
+                else:
+                    degree = (right - x) / (right - peak)
+                degrees.append(degree)
+                if degree:
+                    allowed |= rules
+            memberships.append(degrees)
+            mask &= allowed
+        compiled = self._compiled
+        fired = []
+        while mask:
+            lowest = mask & -mask
+            fired.append(compiled[lowest.bit_length() - 1])
+            mask ^= lowest
+        return memberships, fired
 
     def evaluate_detailed(self, inputs: dict[str, float]) -> InferenceResult:
         """Run fuzzification / min-implication / max-aggregation / centroid.
@@ -236,12 +282,12 @@ class RuleBase:
         inside that variable's domain.  When no rule fires the result is
         the midpoint of the output domain, flagged degenerate.
         """
-        memberships = self._memberships(inputs)
+        memberships, fired = self._fire(inputs)
 
         # Strongest firing strength per consequent term; max-aggregation of
         # clipped identical terms collapses to a single clip at the max.
         strongest = [0.0] * len(self.output.terms)
-        for antecedents, consequent in self._compiled:
+        for antecedents, consequent in fired:
             strength = min(memberships[p][k] for p, k in antecedents)
             if strength > strongest[consequent]:
                 strongest[consequent] = strength
@@ -271,11 +317,11 @@ def evaluate_additive(rulebase: RuleBase, inputs: dict[str, float]) -> float:
     cap without handing its mass to a neighbour).  The fear combination
     stage evaluates through this path.
     """
-    memberships = rulebase._memberships(inputs)
+    memberships, fired = rulebase._fire(inputs)
     centroids = rulebase._term_centroid
     total_weight = 0.0
     total_moment = 0.0
-    for antecedents, consequent in rulebase._compiled:
+    for antecedents, consequent in fired:
         w = 1.0
         for p, k in antecedents:
             w *= memberships[p][k]

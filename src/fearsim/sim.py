@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .emotion import (
@@ -257,15 +257,17 @@ def step(config: ScenarioConfig, bullet: VehicleState, target: VehicleState,
     new_bullet_speed = bullet.speed + bullet_cmd
     new_target_speed = target.speed + target_cmd
     su_per_mph_tick = world.tick_seconds * MPH_TO_FPS / world.patch_scale
-    new_bullet = replace(
-        bullet,
-        speed=new_bullet_speed,
+    new_bullet = VehicleState(
         position=bullet.position + new_bullet_speed * su_per_mph_tick,
+        speed=new_bullet_speed,
+        accel=bullet.accel,
+        decel=bullet.decel,
     )
-    new_target = replace(
-        target,
-        speed=new_target_speed,
+    new_target = VehicleState(
         position=target.position + new_target_speed * su_per_mph_tick,
+        speed=new_target_speed,
+        accel=target.accel,
+        decel=target.decel,
     )
     return new_bullet, new_target, record
 

@@ -92,6 +92,44 @@ def test_osd_calibration_rejects_malformed_row():
         load_osd_calibration_doc("[osd human]\nrow.1 = 25 5\n")
 
 
+@pytest.mark.parametrize("key,value,raw", [
+    ("reaction_time", "nan", "nan"),
+    ("reaction_time", "inf", "inf"),
+    ("row.1", "25 nan 19", "nan"),
+    ("row.1", "-inf 5 19", "-inf"),
+])
+def test_osd_calibration_rejects_non_finite_value(key, value, raw):
+    text = f"[osd human]\nrow.9 = 25 5 19\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"cal.cfg \[osd human\]: '{key}' must be a finite number, got '{raw}'"):
+        load_osd_calibration_doc(text, source="cal.cfg")
+
+
+@pytest.mark.parametrize("key,value,raw", [
+    ("reaction_time", "fast", "fast"),
+    ("row.1", "25 five 19", "five"),
+])
+def test_osd_calibration_rejects_non_number(key, value, raw):
+    text = f"[osd human]\nrow.9 = 25 5 19\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"cal.cfg \[osd human\]: bad value for '{key}': '{raw}'"):
+        load_osd_calibration_doc(text, source="cal.cfg")
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("repetitions", "0"),
+    ("repetitions", "-3"),
+    ("ticks", "-1"),
+])
+def test_sweep_rejects_out_of_range_settings(key, raw):
+    with pytest.raises(ConfigError, match=rf"mine.cfg: '{key}' in \[sweep\] must be at least"):
+        load_sweep_rows(f"[sweep]\n{key} = {raw}\n", source="mine.cfg")
+
+
+def test_sweep_accepts_smallest_settings():
+    _, settings = load_sweep_rows("[sweep]\nrepetitions = 1\nticks = 0\n")
+    assert settings["repetitions"] == 1
+    assert settings["ticks"] == 0
+
+
 def test_atomic_write_replaces_whole_file(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write(path, "first\n")

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fearsim.emotion import fear_rulebase, likelihood_rulebase
 from fearsim.fuzzy import (
     DegenerateSetError,
     FuzzyRule,
     FuzzySet,
+    InferenceResult,
     LinguisticVariable,
+    RuleBase,
     RuleParseError,
     TriangularMF,
     defuzzify_centroid,
@@ -319,3 +322,141 @@ def test_additive_is_monotone_for_monotone_table():
 def test_evaluate_stays_in_output_domain(x):
     rb = _toy_rulebase()
     assert 0.0 <= rb.evaluate({"x": x}) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# candidate filtering against a full rule scan
+# ---------------------------------------------------------------------------
+
+def full_scan(rb, inputs):
+    """Reference inference that visits every rule in order, by name.
+
+    This is the scan ``RuleBase`` ran before it learned to skip rules that
+    cannot fire: the same min/max/centroid and product/centre-average
+    arithmetic, with no filtering.  Returns (Mamdani result, additive value).
+    """
+    degrees = {v.name: {t: eval_trimf(mf, float(inputs[v.name])) for t, mf in v.terms}
+               for v in rb.inputs}
+    output_index = {t: k for k, (t, _) in enumerate(rb.output.terms)}
+    strongest = [0.0] * len(rb.output.terms)
+    total_weight = 0.0
+    total_moment = 0.0
+    for rule in rb.rules:
+        antecedent_degrees = [degrees[var][term] for var, term in rule.antecedents]
+        consequent = output_index[rule.consequent[1]]
+        strength = min(antecedent_degrees)
+        if strength > strongest[consequent]:
+            strongest[consequent] = strength
+        w = 1.0
+        for d in antecedent_degrees:
+            w *= d
+            if w == 0.0:
+                break
+        if w == 0.0:
+            continue
+        total_weight += w
+        total_moment += w * rb._term_centroid[consequent]
+
+    lo, hi = rb.output.domain
+    if not any(strongest):
+        mamdani = InferenceResult(value=(lo + hi) / 2.0, degenerate=True)
+    else:
+        grid = np.linspace(lo, hi, 1001)
+        aggregate = np.zeros(1001)
+        for (_, mf), strength in zip(rb.output.terms, strongest):
+            if strength > 0.0:
+                np.maximum(aggregate, np.minimum(mf.sample(grid), strength), out=aggregate)
+        mamdani = InferenceResult(value=defuzzify_centroid(FuzzySet(lo, hi, aggregate)),
+                                  degenerate=False)
+    additive = (lo + hi) / 2.0 if total_weight == 0.0 else total_moment / total_weight
+    return mamdani, additive
+
+
+def assert_matches_full_scan(rb, inputs):
+    mamdani, additive = full_scan(rb, inputs)
+    assert repr(rb.evaluate_detailed(inputs)) == repr(mamdani)
+    assert repr(rb.evaluate(inputs)) == repr(mamdani.value)
+    assert repr(evaluate_additive(rb, inputs)) == repr(additive)
+
+
+# Breakpoints on a coarse grid, so drawn inputs land exactly on peaks and
+# support ends as well as between them.
+_KNOTS = [i / 8 for i in range(9)]
+
+
+@st.composite
+def triangles(draw, min_width=0.0):
+    a, b, c = sorted(draw(st.lists(st.sampled_from(_KNOTS), min_size=3, max_size=3)))
+    if c - a < min_width:
+        a, b, c = 0.0, 0.5, 1.0
+    return TriangularMF(a, b, c)
+
+
+def _variable(name, mfs):
+    mfs = sorted(mfs, key=lambda mf: mf.peak)
+    return LinguisticVariable(name, (0.0, 1.0), tuple((f"t{k}", mf) for k, mf in enumerate(mfs)))
+
+
+@st.composite
+def rulebases(draw):
+    """Arbitrary rule bases: overlapping or gapped terms, rules over any
+    subset of the inputs (an input may even appear twice in one rule), and
+    rule tables with holes."""
+    n_inputs = draw(st.integers(1, 3))
+    inputs = tuple(
+        _variable(f"x{p}", draw(st.lists(triangles(), min_size=1, max_size=4)))
+        for p in range(n_inputs)
+    )
+    # Output terms keep some width so each has mass on the sampling grid.
+    output = _variable("y", draw(st.lists(triangles(min_width=0.25), min_size=1, max_size=3)))
+    clause = st.integers(0, n_inputs - 1).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, len(inputs[p].terms) - 1)))
+    rules, keys = [], set()
+    for clauses in draw(st.lists(st.lists(clause, min_size=1, max_size=4, unique=True),
+                                 min_size=1, max_size=16)):
+        antecedents = tuple((inputs[p].name, inputs[p].terms[k][0]) for p, k in clauses)
+        key = tuple(sorted(antecedents))
+        if key in keys:
+            continue
+        keys.add(key)
+        consequent = ("y", draw(st.sampled_from([t for t, _ in output.terms])))
+        rules.append(FuzzyRule(antecedents=antecedents, consequent=consequent))
+    return RuleBase(name="drawn", inputs=inputs, output=output, rules=tuple(rules))
+
+
+_unit_inputs = st.one_of(st.sampled_from(_KNOTS), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rulebases(), st.data())
+def test_drawn_rulebases_match_full_scan(rb, data):
+    inputs = {v.name: data.draw(_unit_inputs) for v in rb.inputs}
+    assert_matches_full_scan(rb, inputs)
+
+
+_shipped_knots = [0.0, 0.3, 0.49, 0.705, 1.0]
+_shipped_inputs = st.one_of(st.sampled_from(_shipped_knots), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shipped_inputs, _shipped_inputs)
+def test_shipped_likelihood_rules_match_full_scan(distance, speed):
+    assert_matches_full_scan(likelihood_rulebase(), {"distance": distance, "speed": speed})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shipped_inputs, _shipped_inputs, _shipped_inputs)
+def test_shipped_fear_rules_match_full_scan(undesirability, likelihood, ig):
+    assert_matches_full_scan(fear_rulebase(), {
+        "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
+    })
+
+
+@settings(max_examples=100)
+@given(_shipped_inputs, _shipped_inputs, _shipped_inputs)
+def test_strong_partitions_visit_few_rules(a, b, c):
+    # Two nonzero terms per input at most: 4 of 25 and 8 of 125 rules.
+    _, fired = likelihood_rulebase()._fire({"distance": a, "speed": b})
+    assert 1 <= len(fired) <= 4
+    _, fired = fear_rulebase()._fire({"undesirability": a, "likelihood": b, "ig": c})
+    assert 1 <= len(fired) <= 8
