@@ -1,7 +1,8 @@
 """Sweep runner and sight-distance comparison studies.
 
-``run_sweep`` executes a grid of scenario rows with repetitions, attaches
-the overlay monitors to every finished trace, and aggregates summaries.
+``run_sweep`` executes a grid of scenario rows with repetitions, all runs
+advancing together one tick at a time, attaches the overlay monitors to
+every finished trace, and aggregates summaries.
 ``compare_ssd`` / ``compare_osd`` build agent-vs-human comparison tables:
 each row carries the closed-form distance for both profiles next to a
 distance measured by integrating the avoidance maneuver kinematics, and a
@@ -25,7 +26,10 @@ from .sight import (
     overtaking_sight_distance,
     stopping_sight_distance,
 )
-from .sim import ScenarioConfig, Trace, run_scenario, trace_to_csv
+from .sim import ScenarioConfig, Trace, run_lockstep, trace_to_csv
+# Not called here: sweeps run in lock-step.  The name stays in this
+# module's namespace because perfbench/tracer.py wraps it at this site.
+from .sim import run_scenario  # noqa: F401
 
 __all__ = [
     "SweepSpec",
@@ -117,7 +121,9 @@ def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMA
 
     Every row is validated up front so a bad row rejects the whole sweep
     before any run starts.  Run seeds are base_seed + flat index, so the
-    dataset is reproducible byte for byte.
+    dataset is reproducible byte for byte.  The runs advance together in
+    lock-step (``sim.run_lockstep``), with the traces ``run_scenario``
+    gives.
     """
     configs = []
     for row_index, row in enumerate(spec.rows):
@@ -125,9 +131,9 @@ def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMA
             index = row_index * spec.repetitions + repetition
             configs.append((row_index, repetition, replace(
                 row, ticks=spec.ticks, seed=spec.base_seed + index)))
+    traces = run_lockstep([config for _, _, config in configs])
     runs = []
-    for row_index, repetition, config in configs:
-        trace = run_scenario(config)
+    for (row_index, repetition, config), trace in zip(configs, traces):
         reports = monitors.check_trace_invariants(trace, very_small_gap)
         displays = [r.fear_display for r in trace.records]
         gaps = [r.distance for r in trace.records]

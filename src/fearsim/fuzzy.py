@@ -9,7 +9,9 @@ that term, so ANDing, over the inputs, the masks of the nonzero terms
 (plus the rules that leave the input out) drops every rule with a
 zero-degree antecedent.  Only those candidates are visited, in rule
 order; on the strong partitions of the shipped rule bases that is at most
-4 of 25 and 8 of 125 rules.  Rule bases are parsed
+4 of 25 and 8 of 125 rules.  Batch evaluators, for many points at once,
+run the same arithmetic over array tables compiled next to the bitmasks
+and give the same values bit for bit.  Rule bases are parsed
 from a line-oriented text format (see :func:`parse_rules`) so the shipped
 rule files stay inspectable and editable without touching code.
 
@@ -53,6 +55,15 @@ class RuleParseError(ValueError):
 
 class DegenerateSetError(ValueError):
     """Raised when a fuzzy set carries no mass (all samples zero)."""
+
+
+class _MasslessTermError(ValueError):
+    """An output term with no mass on the sampling grid; carries its token."""
+
+    def __init__(self, variable: str, token: str):
+        super().__init__(f"output term {variable}.{token} has no mass on the "
+                         f"{_RESOLUTION}-point grid")
+        self.token = token
 
 
 @dataclass(frozen=True)
@@ -163,6 +174,25 @@ class InferenceResult:
 
 
 @dataclass(frozen=True)
+class _BatchTables:
+    """Array form of a compiled rule base, for the batch evaluators."""
+
+    domain_lo: np.ndarray           # input domains, (n_inputs, 1) each
+    domain_hi: np.ndarray
+    term_input: np.ndarray          # input position of each stacked term
+    left: np.ndarray                # breakpoints, (n_terms, 1) each
+    peak: np.ndarray
+    right: np.ndarray
+    rise: np.ndarray                # peak - left, 1 for a left shoulder
+    fall: np.ndarray                # right - peak, 1 for a right shoulder
+    antecedent_rows: np.ndarray     # (rules, width) degree rows, padded with the ones row
+    by_consequent: np.ndarray       # rule order grouped by consequent term
+    group_starts: np.ndarray        # start of each group in that order
+    group_spans: tuple              # (output term, first, stop) nonzero columns per group
+    rule_centroid: np.ndarray       # (rules, 1) centroid of each rule's consequent
+
+
+@dataclass(frozen=True)
 class RuleBase:
     """An immutable Mamdani system: input variables, one output, AND-rules."""
 
@@ -217,17 +247,57 @@ class RuleBase:
             for v, masks, free_p in zip(self.inputs, term_rules, free)
         )
         # Sampling grid and per-term output samples are pure functions of the
-        # immutable fields; precompute once so evaluation stays cheap.
+        # immutable fields; precompute once so evaluation stays cheap.  A
+        # term without mass on the grid has no centroid, so it is refused.
         lo, hi = self.output.domain
         grid = np.linspace(lo, hi, _RESOLUTION)
         term_rows = np.vstack([mf.sample(grid) for _, mf in self.output.terms])
-        centroids = (term_rows * grid).sum(axis=1) / term_rows.sum(axis=1)
+        masses = term_rows.sum(axis=1)
+        for (token, _), mass in zip(self.output.terms, masses):
+            if mass == 0.0:
+                raise _MasslessTermError(self.output.name, token)
+        centroids = (term_rows * grid).sum(axis=1) / masses
         object.__setattr__(self, "_compiled", tuple(compiled))
         object.__setattr__(self, "_fuzzifiers", fuzzifiers)
         object.__setattr__(self, "_all_rules", all_rules)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_term_rows", term_rows)
         object.__setattr__(self, "_term_centroid", tuple(float(c) for c in centroids))
+
+        # Array tables for the batch evaluators.  Every input term becomes a
+        # row of stacked breakpoints; row n_terms of the degree matrix is all
+        # ones and pads the antecedent rows of shorter rules (min with 1 and
+        # product with 1 are exact).  Rules are grouped by consequent, and
+        # each output term keeps the column range where it is nonzero.
+        first_row = np.cumsum([0] + [len(v.terms) for v in self.inputs])
+        breakpoints = np.array([(mf.left, mf.peak, mf.right) for v in self.inputs
+                                for _, mf in v.terms], dtype=float).reshape(-1, 3).T[:, :, None]
+        left, peak, right = breakpoints
+        width = max((len(antecedents) for antecedents, _ in compiled), default=1)
+        antecedent_rows = np.full((len(compiled), width), first_row[-1])
+        for i, (antecedents, _) in enumerate(compiled):
+            antecedent_rows[i, :len(antecedents)] = [first_row[p] + k for p, k in antecedents]
+        consequents = np.array([c for _, c in compiled], dtype=int)
+        by_consequent = np.argsort(consequents, kind="stable")
+        used_terms, group_starts = np.unique(consequents[by_consequent], return_index=True)
+        nonzero = [np.flatnonzero(row) for row in term_rows]
+        domains = np.array([v.domain for v in self.inputs], dtype=float)
+        object.__setattr__(self, "_batch", _BatchTables(
+            domain_lo=domains[:, :1],
+            domain_hi=domains[:, 1:],
+            term_input=np.repeat(np.arange(len(self.inputs)), np.diff(first_row)),
+            left=left, peak=peak, right=right,
+            # Divisors of the rising and falling sides; a shoulder's side is
+            # never taken, so 1 stands in for its zero width.
+            rise=np.where(peak > left, peak - left, 1.0),
+            fall=np.where(right > peak, right - peak, 1.0),
+            antecedent_rows=antecedent_rows,
+            by_consequent=by_consequent,
+            group_starts=group_starts,
+            group_spans=tuple((int(k), int(nonzero[k][0]), int(nonzero[k][-1]) + 1)
+                              for k in used_terms),
+            rule_centroid=np.array(self._term_centroid)[consequents][:, None],
+        ))
 
     def _fire(self, inputs: dict[str, float]) -> tuple[list[list[float]], list[tuple]]:
         """Fuzzify ``inputs``; return the degrees and the rules that can fire.
@@ -305,6 +375,58 @@ class RuleBase:
     def evaluate(self, inputs: dict[str, float]) -> float:
         return self.evaluate_detailed(inputs).value
 
+    def _degrees_batch(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
+        """Degrees of every input term for a batch of points, one column each.
+
+        ``inputs`` maps each input variable to an array of values, checked
+        against the domain as in ``_fire``.  Row ``n_terms`` is all ones.
+        The expressions are ``eval_trimf``'s, so each degree equals the
+        scalar one bit for bit.
+        """
+        t = self._batch
+        x = np.array([inputs[name] for name, *_ in self._fuzzifiers], dtype=float)
+        if not ((x >= t.domain_lo) & (x <= t.domain_hi)).all():
+            for (name, lo, hi, _, _), values in zip(self._fuzzifiers, x):
+                for value in values.tolist():
+                    if not lo <= value <= hi:
+                        raise ValueError(f"{name}={value} outside domain [{lo}, {hi}]")
+        x = x[t.term_input]
+        degrees = np.empty((len(x) + 1, x.shape[1]))
+        degrees[-1] = 1.0
+        body = degrees[:-1]
+        np.copyto(body, np.where(x < t.peak, (x - t.left) / t.rise, (t.right - x) / t.fall))
+        body[(x <= t.left) | (x >= t.right)] = 0.0
+        body[x == t.peak] = 1.0
+        return degrees
+
+    def _mamdani_batch(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
+        """``evaluate`` over a batch of points; equal to it bit for bit.
+
+        The strongest firing per consequent is a max over all rules of the
+        min over their antecedents (rules that cannot fire add 0).  Each
+        term is clipped and aggregated only on its nonzero columns, and the
+        centroid sums run along contiguous rows of the (points, grid)
+        aggregate, the same pairwise sums numpy takes for a single point.
+        """
+        t = self._batch
+        degrees = self._degrees_batch(inputs)
+        strength = degrees[t.antecedent_rows].min(axis=1)
+        strongest = np.maximum.reduceat(strength[t.by_consequent], t.group_starts, axis=0)
+        aggregate = np.zeros((degrees.shape[1], _RESOLUTION))
+        for s, (k, start, stop) in zip(strongest, t.group_spans):
+            # One view as input and output: numpy updates it in place
+            # (two views of the same columns would make it copy first).
+            span = aggregate[:, start:stop]
+            np.maximum(span, np.minimum(self._term_rows[k, start:stop], s[:, None]), out=span)
+        total = aggregate.sum(axis=1)
+        # The moment reuses the aggregate's memory: a second (points, grid)
+        # array per call costs more than the arithmetic.
+        moment = np.multiply(aggregate, self._grid, out=aggregate).sum(axis=1)
+        lo, hi = self.output.domain
+        value = np.full(degrees.shape[1], (lo + hi) / 2.0)
+        np.divide(moment, total, out=value, where=strongest.any(axis=0))
+        return value
+
 
 def evaluate_additive(rulebase: RuleBase, inputs: dict[str, float]) -> float:
     """Additive variant: product t-norm with center-average defuzzification.
@@ -335,6 +457,26 @@ def evaluate_additive(rulebase: RuleBase, inputs: dict[str, float]) -> float:
     if total_weight == 0.0:
         return (lo + hi) / 2.0
     return total_moment / total_weight
+
+
+def _additive_batch(rulebase: RuleBase, inputs: dict[str, np.ndarray]) -> np.ndarray:
+    """``evaluate_additive`` over a batch of points; equal to it bit for bit.
+
+    Weights are products in antecedent order; weights and moments are
+    summed in rule order (a cumulative sum, never a pairwise one), where
+    the zero weights of rules that cannot fire add exactly nothing.
+    """
+    t = rulebase._batch
+    degrees = rulebase._degrees_batch(inputs)
+    lo, hi = rulebase.output.domain
+    value = np.full(degrees.shape[1], (lo + hi) / 2.0)
+    weight = degrees[t.antecedent_rows[:, 0]]
+    for rows in t.antecedent_rows.T[1:]:
+        weight = weight * degrees[rows]
+    total_weight = np.cumsum(weight, axis=0)[-1]
+    total_moment = np.cumsum(weight * t.rule_centroid, axis=0)[-1]
+    np.divide(total_moment, total_weight, out=value, where=total_weight != 0.0)
+    return value
 
 
 def _centroid(grid: np.ndarray, samples: np.ndarray) -> float:
@@ -386,12 +528,14 @@ def parse_rules(text: str) -> RuleBase:
     """Parse a self-contained rule document into a RuleBase.
 
     Raises :class:`RuleParseError` with line/column on syntax errors,
-    references to unknown variables or terms, and duplicate antecedent sets.
+    references to unknown variables or terms, duplicate antecedent sets and
+    output terms without mass on the sampling grid.
     """
     name = "rulebase"
     var_kind: dict[str, str] = {}
     var_domain: dict[str, tuple[float, float]] = {}
     var_terms: dict[str, list[tuple[str, TriangularMF]]] = {}
+    term_at: dict[tuple[str, str], tuple[int, int]] = {}
     var_order: list[str] = []
     rules: list[FuzzyRule] = []
     seen_antecedents: dict[tuple, int] = {}
@@ -442,6 +586,7 @@ def parse_rules(text: str) -> RuleBase:
             except ValueError as exc:
                 raise RuleParseError(str(exc), lineno, tokens[3][1]) from None
             var_terms[vname].append((token, mf))
+            term_at[vname, token] = (lineno, tokens[2][1])
 
         elif head == "IF":
             rules_started = True
@@ -471,7 +616,10 @@ def parse_rules(text: str) -> RuleBase:
     output = LinguisticVariable(outputs[0], var_domain[outputs[0]], tuple(var_terms[outputs[0]]))
     if not rules:
         raise RuleParseError("document contains no rules", lineno if text else 1)
-    return RuleBase(name=name, inputs=inputs, output=output, rules=tuple(rules))
+    try:
+        return RuleBase(name=name, inputs=inputs, output=output, rules=tuple(rules))
+    except _MasslessTermError as exc:
+        raise RuleParseError(str(exc), *term_at[output.name, exc.token]) from None
 
 
 def _parse_rule_line(tokens, lineno, var_kind, var_terms) -> FuzzyRule:

@@ -10,6 +10,10 @@ speeds in mph.
 
 Runs are deterministic: the only randomness is an optional seeded jitter
 of the target's schedule phase, used by sweep repetitions.
+
+``run_scenario`` steps one run at a time.  ``run_lockstep`` advances many
+runs together, one tick at a time, with one array entry per live run, and
+gives the same traces byte for byte; sweeps use it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .emotion import (
     EmotionInputs,
     FearLevel,
@@ -26,7 +32,10 @@ from .emotion import (
     compute_likelihood,
     fear_intensity,
     fear_potential,
+    fear_rulebase,
+    likelihood_rulebase,
 )
+from .fuzzy import _additive_batch
 from .sight import (
     FEET_PER_SIM_UNIT,
     MPH_TO_FPS,
@@ -47,6 +56,7 @@ __all__ = [
     "decide_maneuver",
     "step",
     "run_scenario",
+    "run_lockstep",
     "import_simconnector",
     "trace_to_csv",
     "trace_from_csv",
@@ -77,6 +87,10 @@ class WorldConfig:
             raise ValueError("patch_scale must be positive")
         if self.tick_seconds <= 0:
             raise ValueError("tick_seconds must be positive")
+        if self.min_velocity < 0:
+            raise ValueError("min_velocity must be non-negative")
+        if self.max_velocity <= 0:
+            raise ValueError("max_velocity must be positive")
         if self.min_velocity > self.max_velocity:
             raise ValueError("min_velocity must not exceed max_velocity")
         if self.extent[0] >= self.extent[1]:
@@ -132,6 +146,10 @@ class ScenarioConfig:
             v = getattr(self, fname)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{fname}={v} outside [0, 1]")
+        if self.osd_spacing < 0:
+            raise ValueError("osd_spacing must be non-negative")
+        if self.osd_accel <= 0:
+            raise ValueError("osd_accel must be positive")
         profile_by_name(self.reaction_profile)
 
     def phase_offset(self) -> int:
@@ -171,15 +189,23 @@ def _clamp_speed(speed: float, world: WorldConfig) -> float:
     return min(max(speed, world.min_velocity), world.max_velocity)
 
 
+# The maneuver policy, per fear level: accelerate (1), hold (0) or brake (-1).
+_COMMAND_SIGN = {
+    FearLevel.VERY_LOW: 1, FearLevel.LOW: 1, FearLevel.MEDIUM: 0,
+    FearLevel.HIGH: -1, FearLevel.VERY_HIGH: -1,
+}
+
+
 def decide_maneuver(level: FearLevel, state: VehicleState, world: WorldConfig) -> float:
     """Signed speed change (mph per tick) for the bullet at this fear level.
 
     High fear brakes, low fear accelerates, medium holds; the command is
     pre-clamped so applying it never leaves [min, max] velocity.
     """
-    if level in (FearLevel.HIGH, FearLevel.VERY_HIGH):
+    sign = _COMMAND_SIGN[level]
+    if sign < 0:
         command = -state.decel
-    elif level in (FearLevel.VERY_LOW, FearLevel.LOW):
+    elif sign > 0:
         command = state.accel
     else:
         command = 0.0
@@ -273,13 +299,14 @@ def step(config: ScenarioConfig, bullet: VehicleState, target: VehicleState,
 
 
 def initial_states(config: ScenarioConfig) -> tuple[VehicleState, VehicleState]:
-    world = config.world
+    # Speeds are floats from the first tick, even for an integer floor.
+    speed = float(config.world.min_velocity)
     bullet = VehicleState(
-        position=0.0, speed=world.min_velocity,
+        position=0.0, speed=speed,
         accel=config.bullet_accel, decel=config.bullet_decel,
     )
     target = VehicleState(
-        position=config.separation, speed=world.min_velocity,
+        position=config.separation, speed=speed,
         accel=config.target_accel, decel=config.target_decel,
     )
     return bullet, target
@@ -301,6 +328,148 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         records.append(record)
     return Trace(config=config, records=tuple(records),
                  collision=collision, collision_tick=collision_tick)
+
+
+# ---------------------------------------------------------------------------
+# Lock-step runs
+# ---------------------------------------------------------------------------
+
+# Most runs advanced together.  The working arrays hold one entry per run
+# of a group (the emotion-record table one per run and record), so their
+# size does not grow with the number of runs in a sweep.
+_LOCKSTEP_GROUP = 256
+
+
+def run_lockstep(configs) -> list[Trace]:
+    """``run_scenario`` of every config, advanced together one tick at a time.
+
+    Equal to ``[run_scenario(c) for c in configs]`` byte for byte: every
+    tick applies the same floating-point operations, in the same order, to
+    arrays with one entry per live run.  Runs that collide or finish drop
+    out.  Quantization calls ``fear_intensity`` and ``classify_level`` per
+    run, and the ``ssd`` column is computed per record as ``step`` does.
+    """
+    traces = []
+    for start in range(0, len(configs), _LOCKSTEP_GROUP):
+        traces += _run_group(configs[start:start + _LOCKSTEP_GROUP])
+    return traces
+
+
+def _clamp_speeds(speed: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``_clamp_speed`` elementwise, keeping min/max's choice on ties."""
+    speed = np.where(low > speed, low, speed)
+    return np.where(high < speed, high, speed)
+
+
+def _likelihoods(gap: np.ndarray, speed: np.ndarray, span: np.ndarray,
+                 max_velocity: np.ndarray) -> np.ndarray:
+    """``compute_likelihood`` of the normalized gap and speed of many runs."""
+    return likelihood_rulebase()._mamdani_batch({
+        "distance": np.minimum(gap / span, 1.0),
+        "speed": speed / max_velocity,
+    })
+
+
+def _appraisal_table(configs, ticks: int) -> np.ndarray:
+    """(3, width, runs): undesirability, likelihood and ig per record and run.
+
+    Row j is what ``step`` reads at tick j (the last row stands for every
+    later tick).  A run without records repeats its scenario constants with
+    a likelihood of NaN, meaning "compute it from gap and speed".
+    """
+    rows = []
+    for c in configs:
+        if c.emotion_records:
+            rows.append([(r.undesirability, np.nan if r.likelihood is None else r.likelihood, r.ig)
+                         for r in c.emotion_records[:max(ticks, 1)]])
+        else:
+            rows.append([(c.undesirability, np.nan, c.ig)])
+    width = max(len(row) for row in rows)
+    return np.array([row + row[-1:] * (width - len(row)) for row in rows]).transpose(2, 1, 0)
+
+
+def _run_group(configs) -> list[Trace]:
+    n = len(configs)
+    worlds = [c.world for c in configs]
+    ticks = np.array([c.ticks for c in configs])
+    total_ticks = int(ticks.max(initial=0))
+    appraisal = _appraisal_table(configs, total_ticks)
+    # Per-run constants and state; entries of runs that drop out are removed.
+    run = {
+        "index": np.arange(n),
+        "ticks": ticks,
+        "enabled": np.array([c.eeec_agent_enabled for c in configs]),
+        "phase_offset": np.array([c.phase_offset() for c in configs]),
+        "phase_ticks": np.array([c.target_phase_ticks for c in configs]),
+        "bullet_accel": np.array([c.bullet_accel for c in configs], dtype=float),
+        "bullet_decel": np.array([c.bullet_decel for c in configs], dtype=float),
+        "target_accel": np.array([c.target_accel for c in configs], dtype=float),
+        "target_decel": np.array([c.target_decel for c in configs], dtype=float),
+        "min_velocity": np.array([w.min_velocity for w in worlds], dtype=float),
+        "max_velocity": np.array([w.max_velocity for w in worlds], dtype=float),
+        "span": np.array([w.span for w in worlds], dtype=float),
+        "su_per_mph_tick": np.array([w.tick_seconds * MPH_TO_FPS / w.patch_scale for w in worlds]),
+        "appraisal": appraisal,
+        "bullet_position": np.zeros(n),
+        "target_position": np.array([c.separation for c in configs], dtype=float),
+        "bullet_speed": np.array([w.min_velocity for w in worlds], dtype=float),
+        "target_speed": np.array([w.min_velocity for w in worlds], dtype=float),
+    }
+    given_likelihood = not np.isnan(appraisal[1]).all()
+    records = [[] for _ in range(n)]
+    collision_tick = [None] * n
+    # Each live run's record list and config, in the order of the arrays.
+    live_runs = list(zip(records, configs))
+
+    for tick in range(total_ticks):
+        gap = run["target_position"] - run["bullet_position"]
+        live = (gap > 0) & (tick < run["ticks"])
+        if not live.all():
+            for i in run["index"][(gap <= 0) & (tick < run["ticks"])].tolist():
+                collision_tick[i] = tick
+            run = {key: value[..., live] for key, value in run.items()}
+            gap = gap[live]
+            live_runs = [entry for entry, kept in zip(live_runs, live.tolist()) if kept]
+            if not live_runs:
+                break
+        bullet_speed, target_speed = run["bullet_speed"], run["target_speed"]
+
+        undesirability, likelihood, ig = run["appraisal"][:, min(tick, appraisal.shape[1] - 1)]
+        if not given_likelihood:
+            likelihood = _likelihoods(gap, bullet_speed, run["span"], run["max_velocity"])
+        elif np.isnan(likelihood).any():
+            missing = np.isnan(likelihood)
+            likelihood = likelihood.copy()
+            likelihood[missing] = _likelihoods(gap[missing], bullet_speed[missing],
+                                               run["span"][missing], run["max_velocity"][missing])
+        potential = _additive_batch(fear_rulebase(), {
+            "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
+        })
+
+        signs = []
+        for (sink, config), p, g, b, t in zip(live_runs, potential.tolist(), gap.tolist(),
+                                              bullet_speed.tolist(), target_speed.tolist()):
+            level, display = classify_level(fear_intensity(p, config.fear_threshold))
+            sink.append(TickRecord(tick, _required_sight_distance(config, b), g, display, level, b, t))
+            signs.append(_COMMAND_SIGN[level])
+
+        sign = np.array(signs)
+        command = np.where(sign > 0, run["bullet_accel"],
+                           np.where(sign < 0, -run["bullet_decel"], 0.0))
+        command = np.where(run["enabled"], command, run["bullet_accel"])
+        low, high = run["min_velocity"], run["max_velocity"]
+        bullet_cmd = _clamp_speeds(bullet_speed + command, low, high) - bullet_speed
+        phase = ((tick + run["phase_offset"]) // run["phase_ticks"]) % 2
+        command = np.where(phase == 0, run["target_accel"], -run["target_decel"])
+        target_cmd = _clamp_speeds(target_speed + command, low, high) - target_speed
+
+        run["bullet_speed"] = bullet_speed = bullet_speed + bullet_cmd
+        run["target_speed"] = target_speed = target_speed + target_cmd
+        run["bullet_position"] = run["bullet_position"] + bullet_speed * run["su_per_mph_tick"]
+        run["target_position"] = run["target_position"] + target_speed * run["su_per_mph_tick"]
+
+    return [Trace(config=config, records=tuple(sink), collision=at is not None, collision_tick=at)
+            for config, sink, at in zip(configs, records, collision_tick)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +535,7 @@ def trace_to_csv(trace: Trace) -> str:
     for r in trace.records:
         lines.append(
             f"{r.tick},{r.ssd!r},{r.distance!r},{r.fear_display},"
-            f"{r.fear_level},{r.bullet_speed!r},{r.target_speed!r}"
+            f"{r.fear_level.value},{r.bullet_speed!r},{r.target_speed!r}"
         )
     if trace.collision:
         lines.append(f"# collision at tick {trace.collision_tick}")

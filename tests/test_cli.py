@@ -157,6 +157,16 @@ def test_fuzzy_eval_bad_input_is_config_error(data_file, capsys):
     assert code == 1
 
 
+def test_fuzzy_eval_massless_output_term_exits_1(tmp_path, data_file, capsys):
+    rules = tmp_path / "thin.rules"
+    rules.write_text(resources.files("fearsim.data").joinpath("likelihood.rules").read_text()
+                     .replace("term likelihood VLLH 0 0 0.24", "term likelihood VLLH 0.0005 0.0005 0.0005"))
+    code = main(["fuzzy-eval", "--rules", str(rules),
+                 "--input", "distance=0.0", "--input", "speed=1.0"])
+    assert code == 1
+    assert "line 19, column 17: output term likelihood.VLLH has no mass" in capsys.readouterr().err
+
+
 def test_plot_from_trace_csv(tmp_path, data_file):
     trace_path = tmp_path / "trace.csv"
     main(["simulate", "--config", data_file("replay_close_gap_low_speed.cfg"),

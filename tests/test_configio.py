@@ -60,6 +60,20 @@ def test_scenario_rejects_non_finite_value(section, key, raw):
         load_scenario_config(f"[{section}]\n{key} = {raw}\n")
 
 
+@pytest.mark.parametrize("key,raw,message", [
+    ("min_velocity", "-1", "min_velocity must be non-negative"),
+    ("max_velocity", "0", "max_velocity must be positive"),
+    ("osd_accel", "0", "osd_accel must be positive"),
+    ("osd_spacing", "-5", "osd_spacing must be non-negative"),
+])
+def test_scenario_rejects_values_that_would_fail_at_tick_0(key, raw, message):
+    text = f"[scenario]\nkind = overtaking\n{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=f"mine.cfg: {message}"):
+        load_scenario_config(text, source="mine.cfg")
+    with pytest.raises(ConfigError, match=rf"mine.cfg \[scenario.1\]: {message}"):
+        load_sweep_rows(f"{text}[scenario.1]\n", source="mine.cfg")
+
+
 def test_scenario_domain_errors_carry_source():
     with pytest.raises(ConfigError, match="myfile.cfg"):
         load_scenario_config("[scenario]\nseparation = -1\n", source="myfile.cfg")

@@ -1,6 +1,10 @@
 """Sweeps and sight-distance comparison studies."""
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fearsim.experiments import (
     ComparisonRow,
@@ -15,9 +19,10 @@ from fearsim.experiments import (
     run_sweep,
     write_sweep_dir,
 )
+from fearsim.emotion import EmotionInputs
 from fearsim.monitors import Verdict
 from fearsim.sight import AGENT_PROFILE, HUMAN_PROFILE, SsdParams, stopping_sight_distance
-from fearsim.sim import ScenarioConfig
+from fearsim.sim import ScenarioConfig, WorldConfig, run_scenario, trace_to_csv
 
 
 def small_spec(rows=2, reps=3, ticks=40, base_seed=11):
@@ -90,6 +95,104 @@ def test_sweep_export_writes_all_files(tmp_path):
     assert "aggregate.csv" in names
     assert "invariants.csv" in names
     assert sum(1 for n in names if n.startswith("run_")) == 4
+
+
+# ---------------------------------------------------------------------------
+# lock-step sweeps against the scalar run
+# ---------------------------------------------------------------------------
+
+def assert_sweep_matches_scalar_runs(spec):
+    """Every run of the sweep has the trace run_scenario gives its config."""
+    dataset = run_sweep(spec)
+    assert len(dataset.runs) == len(spec.rows) * spec.repetitions
+    for run in dataset.runs:
+        config = replace(spec.rows[run.row_index], ticks=spec.ticks, seed=run.seed)
+        scalar = run_scenario(config)
+        assert trace_to_csv(run.trace) == trace_to_csv(scalar)
+        assert (run.trace.collision, run.trace.collision_tick) == \
+            (scalar.collision, scalar.collision_tick)
+    return dataset
+
+
+_unit = st.floats(0.0, 1.0)
+_records = st.builds(EmotionInputs, _unit, st.one_of(st.none(), _unit), _unit)
+
+
+@st.composite
+def worlds(draw):
+    min_velocity = draw(st.floats(0.0, 60.0))
+    half = draw(st.floats(1.0, 40.0))
+    return WorldConfig(
+        extent=(-half, draw(st.floats(1.0, 40.0))),
+        patch_scale=draw(st.sampled_from([50.0, 100.0, 250.0])),
+        tick_seconds=draw(st.sampled_from([0.1, 0.5, 1.0, 2.0, 10.0])),
+        min_velocity=min_velocity,
+        max_velocity=max(min_velocity + draw(st.floats(0.0, 60.0)), 1.0),
+    )
+
+
+@st.composite
+def rows(draw):
+    return ScenarioConfig(
+        world=draw(worlds()),
+        kind=draw(st.sampled_from(["rear_end", "overtaking"])),
+        separation=draw(st.floats(0.01, 12.0)),
+        eeec_agent_enabled=draw(st.booleans()),
+        bullet_accel=draw(st.floats(0.0, 2.0)),
+        bullet_decel=draw(st.floats(0.0, 2.0)),
+        target_accel=draw(st.floats(0.0, 2.0)),
+        target_decel=draw(st.floats(0.0, 2.0)),
+        target_phase_ticks=draw(st.integers(1, 40)),
+        phase_jitter_ticks=draw(st.integers(0, 30)),
+        undesirability=draw(_unit),
+        ig=draw(_unit),
+        fear_threshold=draw(_unit),
+        reaction_profile=draw(st.sampled_from(["eeec_agent", "human"])),
+        osd_spacing=draw(st.floats(0.0, 20.0)),
+        osd_accel=draw(st.floats(0.5, 30.0)),
+        emotion_records=draw(st.one_of(st.none(), st.just(()),
+                                       st.lists(_records, min_size=1, max_size=8).map(tuple))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(SweepSpec, rows=st.lists(rows(), min_size=1, max_size=4).map(tuple),
+                 repetitions=st.integers(1, 4), ticks=st.integers(0, 50),
+                 base_seed=st.integers(0, 10**6)))
+@example(SweepSpec(rows=(ScenarioConfig(), ScenarioConfig(kind="overtaking")),
+                   repetitions=2, ticks=0))
+def test_lockstep_sweep_matches_scalar_runs(spec):
+    assert_sweep_matches_scalar_runs(spec)
+
+
+def test_lockstep_sweep_across_a_group_boundary():
+    """300 runs: one full group of 256 and a second one, with collisions.
+
+    Most rows run without the controller, so the bullet speeds up every
+    tick and the ssd column holds thousands of distinct speeds: about one
+    in 1,300 gives a different last bit when ``v ** 2`` is taken with
+    numpy instead of Python's float power.
+    """
+    rng = random.Random(7)
+    scenario_rows = tuple(
+        ScenarioConfig(
+            world=WorldConfig(min_velocity=rng.uniform(5.0, 40.0), tick_seconds=rng.choice([0.5, 2.0])),
+            kind=rng.choice(["rear_end", "rear_end", "overtaking"]),
+            separation=rng.uniform(0.3, 6.0),
+            eeec_agent_enabled=rng.random() < 0.2,
+            bullet_accel=rng.uniform(0.02, 0.4),
+            bullet_decel=rng.uniform(0.02, 0.4),
+            target_accel=rng.uniform(0.0, 0.3),
+            target_decel=rng.uniform(0.0, 0.3),
+            target_phase_ticks=rng.randrange(3, 30),
+            phase_jitter_ticks=rng.randrange(0, 20),
+            fear_threshold=rng.choice([0.0, 0.05]),
+        )
+        for _ in range(300)
+    )
+    dataset = assert_sweep_matches_scalar_runs(
+        SweepSpec(rows=scenario_rows, repetitions=1, ticks=40, base_seed=3))
+    assert 0 < sum(run.trace.collision for run in dataset.runs) < 300
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fearsim.fuzzy import (
     TriangularMF,
     defuzzify_centroid,
     eval_trimf,
+    _additive_batch,
     evaluate_additive,
     format_rules,
     parse_rules,
@@ -131,6 +132,24 @@ def test_parse_small_document():
     assert len(rb.rules) == 2
     assert rb.rules[0].antecedents == (("x", "LOW"),)
     assert rb.rules[0].consequent == ("y", "SMALL")
+
+
+# A term this narrow falls between two grid samples and has no mass.
+MASSLESS_DOC = SMALL_DOC.replace("term y BIG 0.5 0.75 1", "term y BIG 0.33333 0.33333 0.33333")
+
+
+def test_rulebase_rejects_massless_output_term():
+    rb = parse_rules(SMALL_DOC)
+    thin = TriangularMF(0.33333, 0.33333, 0.33333)
+    output = LinguisticVariable("y", (0.0, 1.0), (rb.output.terms[0], ("BIG", thin)))
+    with pytest.raises(ValueError, match=r"output term y\.BIG has no mass"):
+        RuleBase(name="toy", inputs=rb.inputs, output=output, rules=rb.rules)
+
+
+def test_parse_reports_massless_output_term_at_its_line():
+    with pytest.raises(RuleParseError, match=r"y\.BIG has no mass") as exc:
+        parse_rules(MASSLESS_DOC)
+    assert (exc.value.line, exc.value.column) == (8, 8)
 
 
 def test_parse_rule_line_matches_clauses():
@@ -460,3 +479,43 @@ def test_strong_partitions_visit_few_rules(a, b, c):
     assert 1 <= len(fired) <= 4
     _, fired = fear_rulebase()._fire({"undesirability": a, "likelihood": b, "ig": c})
     assert 1 <= len(fired) <= 8
+
+
+# ---------------------------------------------------------------------------
+# batch evaluators against the scalar ones
+# ---------------------------------------------------------------------------
+
+def assert_batch_matches_scalar(rb, points):
+    """The whole batch, and each point as a batch of one (numpy may sum a
+    single column in another order than several), give the scalar values."""
+    for batch in (points, *([p] for p in points)):
+        columns = {v.name: np.array([p[v.name] for p in batch]) for v in rb.inputs}
+        assert [repr(x) for x in rb._mamdani_batch(columns).tolist()] == \
+            [repr(rb.evaluate(p)) for p in batch]
+        assert [repr(x) for x in _additive_batch(rb, columns).tolist()] == \
+            [repr(evaluate_additive(rb, p)) for p in batch]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rulebases(), st.data())
+def test_drawn_rulebases_batch_matches_scalar(rb, data):
+    points = data.draw(st.lists(st.fixed_dictionaries({v.name: _unit_inputs for v in rb.inputs}),
+                                min_size=1, max_size=12))
+    assert_batch_matches_scalar(rb, points)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(*[_shipped_inputs] * 3), min_size=1, max_size=40))
+def test_shipped_rules_batch_matches_scalar(triples):
+    assert_batch_matches_scalar(likelihood_rulebase(),
+                                [{"distance": a, "speed": b} for a, b, _ in triples])
+    assert_batch_matches_scalar(fear_rulebase(), [
+        {"undesirability": a, "likelihood": b, "ig": c} for a, b, c in triples])
+
+
+def test_batch_rejects_out_of_domain():
+    rb = likelihood_rulebase()
+    with pytest.raises(ValueError, match=r"speed=1\.5 outside domain"):
+        rb._mamdani_batch({"distance": np.array([0.5, 0.5]), "speed": np.array([0.5, 1.5])})
+    with pytest.raises(ValueError, match=r"distance=nan outside domain"):
+        rb._mamdani_batch({"distance": np.array([np.nan]), "speed": np.array([0.5])})

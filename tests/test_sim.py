@@ -11,6 +11,7 @@ from fearsim.sim import (
     decide_maneuver,
     import_simconnector,
     initial_states,
+    run_lockstep,
     run_scenario,
     step,
     trace_from_csv,
@@ -195,6 +196,23 @@ def test_ssd_is_in_the_world_patch_scale(kind):
     assert half.ssd == 2 * full.ssd
 
 
+def test_lockstep_matches_scalar_runs_of_any_length():
+    configs = [
+        ScenarioConfig(ticks=0),
+        ScenarioConfig(ticks=1, kind="overtaking"),
+        ScenarioConfig(ticks=30, seed=5, phase_jitter_ticks=9),
+        ScenarioConfig(ticks=500, eeec_agent_enabled=False, separation=0.05, bullet_accel=5.0,
+                       target_accel=0.0, target_decel=0.0, world=WorldConfig(tick_seconds=10.0)),
+        ScenarioConfig(ticks=7, world=WorldConfig(min_velocity=10, max_velocity=90)),
+    ]
+    traces = run_lockstep(configs)
+    assert traces[3].collision
+    for config, trace in zip(configs, traces):
+        assert trace.config is config
+        assert trace == run_scenario(config)
+        assert trace_to_csv(trace) == trace_to_csv(run_scenario(config))
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         ScenarioConfig(separation=0.0)
@@ -206,6 +224,15 @@ def test_invalid_config_rejected():
         ScenarioConfig(reaction_profile="nobody")
     with pytest.raises(ValueError):
         ScenarioConfig(kind="sideways")
+    # Values that would otherwise fail only at tick 0, with another message.
+    with pytest.raises(ValueError, match="min_velocity must be non-negative"):
+        WorldConfig(min_velocity=-1.0)
+    with pytest.raises(ValueError, match="max_velocity must be positive"):
+        WorldConfig(min_velocity=0.0, max_velocity=0.0)
+    with pytest.raises(ValueError, match="osd_accel must be positive"):
+        ScenarioConfig(kind="overtaking", osd_accel=0.0)
+    with pytest.raises(ValueError, match="osd_spacing must be non-negative"):
+        ScenarioConfig(kind="overtaking", osd_spacing=-1.0)
 
 
 # ---------------------------------------------------------------------------
