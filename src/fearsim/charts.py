@@ -61,14 +61,13 @@ def _series(points: list[tuple[float, float]], color: str) -> str:
 
 def trace_chart_svg(trace: Trace) -> str:
     """Two-series line chart: fear display (0..100) and gap over ticks."""
-    if not trace.records:
+    gaps = trace.columns.distance
+    if not gaps:
         raise ValueError("cannot chart an empty trace")
-    n = len(trace.records)
-    gaps = [r.distance for r in trace.records]
+    n = len(gaps)
     gap_hi = max(max(gaps), 1.0)
     parts = _header("fear and gap per tick")
-    fear_pts = [(_x_at(i, n), _y_at(r.fear_display, 0.0, 100.0))
-                for i, r in enumerate(trace.records)]
+    fear_pts = [(_x_at(i, n), _y_at(d, 0.0, 100.0)) for i, d in enumerate(trace.columns.fear_display)]
     gap_pts = [(_x_at(i, n), _y_at(g, 0.0, gap_hi)) for i, g in enumerate(gaps)]
     parts.append(_series(fear_pts, _FEAR_COLOR))
     parts.append(_series(gap_pts, _GAP_COLOR))

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+
+import numpy as np
 
 from .fuzzy import RuleBase, evaluate_additive, parse_rules
 
@@ -54,19 +57,24 @@ class FearLevel(enum.Enum):
         raise ValueError(f"unknown fear level {name!r}")
 
 
-# Display values observed on the 0..100 scale.  Seven plateaus for five
-# levels: 16 and 36 are transitional blends between adjacent levels.
-DISPLAY_PLATEAUS: tuple[int, ...] = (6, 16, 26, 36, 49, 66, 76)
-
-_PLATEAU_LEVEL: dict[int, FearLevel] = {
-    6: FearLevel.VERY_LOW,
-    16: FearLevel.VERY_LOW,
-    26: FearLevel.LOW,
-    36: FearLevel.LOW,
-    49: FearLevel.MEDIUM,
-    66: FearLevel.HIGH,
-    76: FearLevel.VERY_HIGH,
-}
+# The quantizer table: display plateau (on the 0..100 scale) and level per
+# plateau index.  Seven plateaus for five levels: 16 and 36 are
+# transitional blends between adjacent levels.
+_PLATEAUS: tuple[tuple[FearLevel, int], ...] = (
+    (FearLevel.VERY_LOW, 6),
+    (FearLevel.VERY_LOW, 16),
+    (FearLevel.LOW, 26),
+    (FearLevel.LOW, 36),
+    (FearLevel.MEDIUM, 49),
+    (FearLevel.HIGH, 66),
+    (FearLevel.VERY_HIGH, 76),
+)
+DISPLAY_PLATEAUS: tuple[int, ...] = tuple(display for _, display in _PLATEAUS)
+# 100*intensity at or above midpoint i falls on plateau i+1 or higher, so
+# the nearest plateau wins and ties go to the higher one:
+# (11, 21, 31, 42.5, 57.5, 71).
+_MIDPOINTS: tuple[float, ...] = tuple(
+    (low + high) / 2 for low, high in zip(DISPLAY_PLATEAUS, DISPLAY_PLATEAUS[1:]))
 
 
 @dataclass(frozen=True)
@@ -150,15 +158,20 @@ def classify_level(intensity: float) -> tuple[FearLevel, int]:
     """
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity={intensity} outside [0, 1]")
-    scaled = 100.0 * intensity
-    display = DISPLAY_PLATEAUS[0]
-    best = abs(scaled - display)
-    for plateau in DISPLAY_PLATEAUS[1:]:
-        d = abs(scaled - plateau)
-        if d <= best:  # ties go to the higher plateau
-            best = d
-            display = plateau
-    return _PLATEAU_LEVEL[display], display
+    return _PLATEAUS[bisect_right(_MIDPOINTS, 100.0 * intensity)]
+
+
+def _plateau_indices(potential: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """``classify_level(fear_intensity(p, t))`` of many runs, as plateau indices.
+
+    The thresholds are scenario constants, already checked to lie in
+    [0, 1]; the potentials are checked here.
+    """
+    outside = ~((potential >= 0.0) & (potential <= 1.0))
+    if outside.any():
+        raise ValueError(f"potential={potential[outside][0]} outside [0, 1]")
+    intensity = np.where(potential > threshold, potential - threshold, 0.0)
+    return np.searchsorted(_MIDPOINTS, 100.0 * intensity, side="right")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ success flag saying the simulated maneuver actually avoided contact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache as _cache
+
+import numpy as np
 
 from . import monitors
 from .sight import (
@@ -102,7 +105,7 @@ class SweepDataset:
         lines = ["row,repetition,seed,ticks,mean_display,min_gap,collision"]
         for run in self.runs:
             lines.append(
-                f"{run.row_index},{run.repetition},{run.seed},{len(run.trace.records)},"
+                f"{run.row_index},{run.repetition},{run.seed},{len(run.trace.columns.tick)},"
                 f"{run.mean_display!r},{run.min_gap!r},{str(run.trace.collision).lower()}"
             )
         return "\n".join(lines) + "\n"
@@ -135,8 +138,7 @@ def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMA
     runs = []
     for (row_index, repetition, config), trace in zip(configs, traces):
         reports = monitors.check_trace_invariants(trace, very_small_gap)
-        displays = [r.fear_display for r in trace.records]
-        gaps = [r.distance for r in trace.records]
+        displays, gaps = trace.columns.fear_display, trace.columns.distance
         runs.append(RunResult(
             row_index=row_index,
             repetition=repetition,
@@ -216,13 +218,25 @@ def measured_stopping_distance(speed_mph: float, reaction_time: float,
 
     Independent of the closed-form expression: travel at speed for the
     reaction time, then Euler-integrate constant braking until standstill.
+    The steps of ``v = max(0, v - deceleration*dt)``, ``d += v*dt`` are
+    taken with ``np.cumsum``, which adds in sequence, so every partial sum
+    is the step-by-step loop's.
     """
+    if deceleration <= 0:
+        raise ValueError("deceleration must be positive")
     v = speed_mph * MPH_TO_FPS
-    distance = v * reaction_time
-    while v > 0:
-        v = max(0.0, v - deceleration * _DT)
-        distance += v * _DT
-    return distance
+    if not v > 0:
+        return v * reaction_time
+    steps = int(v / (deceleration * _DT)) + 2
+    while True:
+        speeds = np.cumsum(np.concatenate(([v], np.full(steps, -(deceleration * _DT)))))[1:]
+        stopped = np.flatnonzero(speeds <= 0)
+        if stopped.size:
+            break
+        steps *= 2
+    speeds = speeds[:stopped[0] + 1]
+    speeds[-1] = 0.0  # the step that reaches zero is clamped to standstill
+    return float(np.cumsum(np.concatenate(([v * reaction_time], speeds * _DT)))[-1])
 
 
 def measured_overtaking_distance(speed_mph: float, reaction_time: float,
@@ -231,17 +245,23 @@ def measured_overtaking_distance(speed_mph: float, reaction_time: float,
 
     Reaction travel, then the passing maneuver: time to cover twice the
     spacing under constant acceleration from rest, during which the
-    overtaker keeps rolling at its own speed.
+    overtaker keeps rolling at its own speed.  The Euler steps are
+    sequential sums (``np.cumsum``), as in ``measured_stopping_distance``.
     """
     v = speed_mph * MPH_TO_FPS
     distance = v * reaction_time + 2.0 * spacing
-    covered = 0.0
-    lateral_v = 0.0
-    while covered < 2.0 * spacing:
-        lateral_v += acceleration * _DT
-        covered += lateral_v * _DT
-        distance += v * _DT
-    return distance
+    if spacing <= 0:
+        return distance  # nothing to pass
+    if acceleration <= 0:
+        raise ValueError("acceleration must be positive")
+    steps = int(math.sqrt(4.0 * spacing / acceleration) / _DT) + 2
+    while True:
+        lateral_v = np.cumsum(np.full(steps, acceleration * _DT))
+        covered = np.flatnonzero(np.cumsum(lateral_v * _DT) >= 2.0 * spacing)
+        if covered.size:
+            break
+        steps *= 2
+    return float(np.cumsum(np.concatenate(([distance], np.full(covered[0] + 1, v * _DT))))[-1])
 
 
 def compare_ssd(speeds_mph: list[float],

@@ -528,15 +528,14 @@ def parse_rules(text: str) -> RuleBase:
     """Parse a self-contained rule document into a RuleBase.
 
     Raises :class:`RuleParseError` with line/column on syntax errors,
-    references to unknown variables or terms, duplicate antecedent sets and
+    references to unknown variables or terms, empty domains, terms out of
+    peak order or outside their domain, duplicate antecedent sets and
     output terms without mass on the sampling grid.
     """
     name = "rulebase"
     var_kind: dict[str, str] = {}
-    var_domain: dict[str, tuple[float, float]] = {}
-    var_terms: dict[str, list[tuple[str, TriangularMF]]] = {}
+    variables: dict[str, LinguisticVariable] = {}  # in declaration order
     term_at: dict[tuple[str, str], tuple[int, int]] = {}
-    var_order: list[str] = []
     rules: list[FuzzyRule] = []
     seen_antecedents: dict[tuple, int] = {}
     rules_started = False
@@ -563,9 +562,7 @@ def parse_rules(text: str) -> RuleBase:
             lo = _parse_float(tokens[2][0], lineno, tokens[2][1])
             hi = _parse_float(tokens[3][0], lineno, tokens[3][1])
             var_kind[vname] = head
-            var_domain[vname] = (lo, hi)
-            var_terms[vname] = []
-            var_order.append(vname)
+            variables[vname] = _variable(vname, (lo, hi), (), lineno, tokens[2][1])
 
         elif head == "term":
             if rules_started:
@@ -576,7 +573,8 @@ def parse_rules(text: str) -> RuleBase:
             if vname not in var_kind:
                 raise RuleParseError(f"term for undeclared variable {vname!r}", lineno, vcol)
             token = tokens[2][0]
-            if any(t == token for t, _ in var_terms[vname]):
+            var = variables[vname]
+            if any(t == token for t, _ in var.terms):
                 raise RuleParseError(f"duplicate term {vname}.{token}", lineno, tokens[2][1])
             a = _parse_float(tokens[3][0], lineno, tokens[3][1])
             b = _parse_float(tokens[4][0], lineno, tokens[4][1])
@@ -585,12 +583,13 @@ def parse_rules(text: str) -> RuleBase:
                 mf = TriangularMF(a, b, c)
             except ValueError as exc:
                 raise RuleParseError(str(exc), lineno, tokens[3][1]) from None
-            var_terms[vname].append((token, mf))
             term_at[vname, token] = (lineno, tokens[2][1])
+            variables[vname] = _variable(vname, var.domain, (*var.terms, (token, mf)),
+                                         lineno, tokens[2][1])
 
         elif head == "IF":
             rules_started = True
-            rule = _parse_rule_line(tokens, lineno, var_kind, var_terms)
+            rule = _parse_rule_line(tokens, lineno, var_kind, variables)
             key = rule.antecedent_key()
             if key in seen_antecedents:
                 raise RuleParseError(
@@ -603,17 +602,14 @@ def parse_rules(text: str) -> RuleBase:
         else:
             raise RuleParseError(f"unknown statement {head!r}", lineno, head_col)
 
-    inputs = tuple(
-        LinguisticVariable(v, var_domain[v], tuple(var_terms[v]))
-        for v in var_order if var_kind[v] == "input"
-    )
-    outputs = [v for v in var_order if var_kind[v] == "output"]
+    inputs = tuple(variables[v] for v in variables if var_kind[v] == "input")
+    outputs = [variables[v] for v in variables if var_kind[v] == "output"]
     if not inputs or len(outputs) != 1:
         raise RuleParseError(
             f"need at least one input and exactly one output, got {len(inputs)} inputs / {len(outputs)} outputs",
             lineno if text else 1,
         )
-    output = LinguisticVariable(outputs[0], var_domain[outputs[0]], tuple(var_terms[outputs[0]]))
+    output = outputs[0]
     if not rules:
         raise RuleParseError("document contains no rules", lineno if text else 1)
     try:
@@ -622,7 +618,16 @@ def parse_rules(text: str) -> RuleBase:
         raise RuleParseError(str(exc), *term_at[output.name, exc.token]) from None
 
 
-def _parse_rule_line(tokens, lineno, var_kind, var_terms) -> FuzzyRule:
+def _variable(name: str, domain: tuple[float, float], terms: tuple, lineno: int,
+              column: int) -> LinguisticVariable:
+    """The variable as declared so far; its checks fail at the statement's location."""
+    try:
+        return LinguisticVariable(name, domain, terms)
+    except ValueError as exc:
+        raise RuleParseError(str(exc), lineno, column) from None
+
+
+def _parse_rule_line(tokens, lineno, var_kind, variables) -> FuzzyRule:
     def expect(pos: int, keyword: str):
         if pos >= len(tokens) or tokens[pos][0] != keyword:
             got = tokens[pos][0] if pos < len(tokens) else "end of line"
@@ -639,7 +644,7 @@ def _parse_rule_line(tokens, lineno, var_kind, var_terms) -> FuzzyRule:
             raise RuleParseError(f"{vname!r} is not an {want_kind} variable", lineno, vcol)
         expect(pos + 1, "IS")
         term, tcol = tokens[pos + 2]
-        if not any(t == term for t, _ in var_terms[vname]):
+        if not any(t == term for t, _ in variables[vname].terms):
             raise RuleParseError(f"unknown term {vname}.{term}", lineno, tcol)
         return (vname, term), pos + 3
 

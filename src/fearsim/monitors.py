@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import gt
 
 from .emotion import FearLevel
 from .sim import Trace
@@ -68,43 +69,27 @@ def check_trace_invariants(trace: Trace,
 
 
 def _check_inv1a(trace: Trace, threshold: float) -> InvariantReport:
-    armed = False
-    evidence = []
-    for r in trace.records:
-        if r.distance < threshold:
-            armed = True
-            if r.fear_level not in (FearLevel.HIGH, FearLevel.VERY_HIGH):
-                evidence.append((r.tick, f"gap={r.distance:.4f} fear={r.fear_level}({r.fear_display})"))
-    return InvariantReport("Inv1A", _verdict(evidence, armed), tuple(evidence), {"very_small_gap": threshold})
-
-
-def _closing_windows(trace: Trace) -> list[tuple[int, int]]:
-    """Maximal index windows with strictly decreasing gap and non-decreasing bullet speed."""
-    rs = trace.records
-    windows = []
-    start = None
-    for i in range(1, len(rs)):
-        closing = rs[i].distance < rs[i - 1].distance and rs[i].bullet_speed >= rs[i - 1].bullet_speed
-        if closing and start is None:
-            start = i - 1
-        elif not closing and start is not None:
-            windows.append((start, i - 1))
-            start = None
-    if start is not None:
-        windows.append((start, len(rs) - 1))
-    return windows
+    c = trace.columns
+    armed = [i for i, gap in enumerate(c.distance) if gap < threshold]
+    evidence = [(c.tick[i], f"gap={c.distance[i]:.4f} fear={c.fear_level[i]}({c.fear_display[i]})")
+                for i in armed if c.fear_level[i] not in (FearLevel.HIGH, FearLevel.VERY_HIGH)]
+    return InvariantReport("Inv1A", _verdict(evidence, bool(armed)), tuple(evidence),
+                           {"very_small_gap": threshold})
 
 
 def _check_inv1b(trace: Trace) -> InvariantReport:
-    windows = _closing_windows(trace)
-    evidence = []
-    for lo, hi in windows:
-        for i in range(lo + 1, hi + 1):
-            prev, cur = trace.records[i - 1], trace.records[i]
-            if cur.fear_display < prev.fear_display:
-                evidence.append((cur.tick, f"display {prev.fear_display}->{cur.fear_display} while gap "
-                                           f"{prev.distance:.4f}->{cur.distance:.4f}"))
-    return InvariantReport("Inv1B", _verdict(evidence, bool(windows)), tuple(evidence), {"windows": len(windows)})
+    """Closing steps: the gap strictly shrinks and the bullet speed does not drop.
+
+    A window is a maximal run of consecutive closing steps.
+    """
+    c = trace.columns
+    gap, speed, display = c.distance, c.bullet_speed, c.fear_display
+    closing = [g1 < g0 and s1 >= s0 for g0, g1, s0, s1 in zip(gap, gap[1:], speed, speed[1:])]
+    windows = sum(map(gt, closing, [False, *closing]))  # closing steps after a non-closing one
+    evidence = [(c.tick[i + 1], f"display {display[i]}->{display[i + 1]} while gap "
+                                f"{gap[i]:.4f}->{gap[i + 1]:.4f}")
+                for i, step in enumerate(closing) if step and display[i + 1] < display[i]]
+    return InvariantReport("Inv1B", _verdict(evidence, bool(windows)), tuple(evidence), {"windows": windows})
 
 
 def check_comparison_invariants(table) -> list[InvariantReport]:

@@ -20,14 +20,19 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 from .emotion import (
+    _PLATEAUS,
+    DISPLAY_PLATEAUS,
     EmotionInputs,
     FearLevel,
+    _plateau_indices,
     classify_level,
     compute_likelihood,
     fear_intensity,
@@ -37,6 +42,7 @@ from .emotion import (
 )
 from .fuzzy import _additive_batch
 from .sight import (
+    DEFAULT_DECELERATION_FTPS2,
     FEET_PER_SIM_UNIT,
     MPH_TO_FPS,
     OsdParams,
@@ -177,12 +183,37 @@ class TickRecord:
     target_speed: float
 
 
-@dataclass(frozen=True)
+# A trace's ticks as one tuple per ``TickRecord`` field.
+TraceColumns = namedtuple("TraceColumns", [f.name for f in fields(TickRecord)])
+
+
+@dataclass(frozen=True, init=False)
 class Trace:
+    """One run: its config, its ticks as columns and how it ended.
+
+    Built from ``records`` (the scalar runs, CSV files, tests) or from
+    ``columns`` (lock-step runs); ``records`` is built from the columns on
+    first use and kept.  Traces compare by config, columns and collision,
+    whichever form they were built from.
+    """
+
     config: ScenarioConfig
-    records: tuple[TickRecord, ...]
+    columns: TraceColumns
     collision: bool = False
     collision_tick: int | None = None
+
+    def __init__(self, config: ScenarioConfig, records=(), collision: bool = False,
+                 collision_tick: int | None = None, *, columns: TraceColumns | None = None):
+        if columns is None:
+            records = self.__dict__["records"] = tuple(records)
+            columns = TraceColumns._make(tuple(map(attrgetter(name), records))
+                                         for name in TraceColumns._fields)
+        self.__dict__.update(config=config, columns=columns, collision=collision,
+                             collision_tick=collision_tick)
+
+    @cached_property
+    def records(self) -> tuple[TickRecord, ...]:
+        return tuple(map(TickRecord, *self.columns))
 
 
 def _clamp_speed(speed: float, world: WorldConfig) -> float:
@@ -194,6 +225,13 @@ _COMMAND_SIGN = {
     FearLevel.VERY_LOW: 1, FearLevel.LOW: 1, FearLevel.MEDIUM: 0,
     FearLevel.HIGH: -1, FearLevel.VERY_HIGH: -1,
 }
+
+
+# The same policy and the display per plateau index of the quantizer
+# table, and the level per display.
+_PLATEAU_SIGN = np.array([_COMMAND_SIGN[level] for level, _ in _PLATEAUS])
+_DISPLAY = np.array(DISPLAY_PLATEAUS)
+_LEVEL = {display: level for level, display in _PLATEAUS}
 
 
 def decide_maneuver(level: FearLevel, state: VehicleState, world: WorldConfig) -> float:
@@ -346,8 +384,8 @@ def run_lockstep(configs) -> list[Trace]:
     Equal to ``[run_scenario(c) for c in configs]`` byte for byte: every
     tick applies the same floating-point operations, in the same order, to
     arrays with one entry per live run.  Runs that collide or finish drop
-    out.  Quantization calls ``fear_intensity`` and ``classify_level`` per
-    run, and the ``ssd`` column is computed per record as ``step`` does.
+    out.  The ticks are written into (ticks, runs) tables, and each trace
+    takes its columns from them.
     """
     traces = []
     for start in range(0, len(configs), _LOCKSTEP_GROUP):
@@ -388,6 +426,24 @@ def _appraisal_table(configs, ticks: int) -> np.ndarray:
     return np.array([row + row[-1:] * (width - len(row)) for row in rows]).transpose(2, 1, 0)
 
 
+def _sight_distances(configs, speed: np.ndarray) -> np.ndarray:
+    """``_required_sight_distance`` of a (ticks, runs) table of bullet speeds.
+
+    ``v ** 2`` is CPython's float power (libm ``pow``): numpy's square
+    differs from it in the last bit on some speeds.  The other operations
+    are elementwise and in the scalar formulas' order.
+    """
+    t = np.array([profile_by_name(c.reaction_profile).reaction_time for c in configs])
+    spacing = np.array([c.osd_spacing for c in configs], dtype=float)
+    root = np.sqrt(4.0 * spacing / np.array([c.osd_accel for c in configs], dtype=float))
+    square = np.array([v ** 2 for v in speed.ravel().tolist()]).reshape(speed.shape)
+    stopping = 1.47 * speed * t + 1.075 * square / DEFAULT_DECELERATION_FTPS2
+    fps = speed * MPH_TO_FPS
+    overtaking = np.where(fps == 0, 2.0 * spacing, fps * t + 2.0 * spacing + fps * root)
+    feet = np.where([c.kind == "overtaking" for c in configs], overtaking, stopping)
+    return feet / np.array([c.world.patch_scale for c in configs], dtype=float)
+
+
 def _run_group(configs) -> list[Trace]:
     n = len(configs)
     worlds = [c.world for c in configs]
@@ -399,6 +455,7 @@ def _run_group(configs) -> list[Trace]:
         "index": np.arange(n),
         "ticks": ticks,
         "enabled": np.array([c.eeec_agent_enabled for c in configs]),
+        "fear_threshold": np.array([c.fear_threshold for c in configs], dtype=float),
         "phase_offset": np.array([c.phase_offset() for c in configs]),
         "phase_ticks": np.array([c.target_phase_ticks for c in configs]),
         "bullet_accel": np.array([c.bullet_accel for c in configs], dtype=float),
@@ -416,21 +473,23 @@ def _run_group(configs) -> list[Trace]:
         "target_speed": np.array([w.min_velocity for w in worlds], dtype=float),
     }
     given_likelihood = not np.isnan(appraisal[1]).all()
-    records = [[] for _ in range(n)]
-    collision_tick = [None] * n
-    # Each live run's record list and config, in the order of the arrays.
-    live_runs = list(zip(records, configs))
+    # What each tick records, one row per tick and one column per run: the
+    # gap and both speeds, and the plateau index.
+    recorded = np.zeros((3, total_ticks, n))
+    plateau = np.zeros((total_ticks, n), dtype=np.int8)
+    length = ticks.copy()
+    where = slice(None)  # the live runs' columns
 
     for tick in range(total_ticks):
         gap = run["target_position"] - run["bullet_position"]
         live = (gap > 0) & (tick < run["ticks"])
         if not live.all():
-            for i in run["index"][(gap <= 0) & (tick < run["ticks"])].tolist():
-                collision_tick[i] = tick
+            collided = run["index"][(gap <= 0) & (tick < run["ticks"])]
+            length[collided] = tick
             run = {key: value[..., live] for key, value in run.items()}
             gap = gap[live]
-            live_runs = [entry for entry, kept in zip(live_runs, live.tolist()) if kept]
-            if not live_runs:
+            where = run["index"]
+            if not where.size:
                 break
         bullet_speed, target_speed = run["bullet_speed"], run["target_speed"]
 
@@ -445,15 +504,11 @@ def _run_group(configs) -> list[Trace]:
         potential = _additive_batch(fear_rulebase(), {
             "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
         })
+        level = _plateau_indices(potential, run["fear_threshold"])
+        recorded[:, tick, where] = gap, bullet_speed, target_speed
+        plateau[tick, where] = level
 
-        signs = []
-        for (sink, config), p, g, b, t in zip(live_runs, potential.tolist(), gap.tolist(),
-                                              bullet_speed.tolist(), target_speed.tolist()):
-            level, display = classify_level(fear_intensity(p, config.fear_threshold))
-            sink.append(TickRecord(tick, _required_sight_distance(config, b), g, display, level, b, t))
-            signs.append(_COMMAND_SIGN[level])
-
-        sign = np.array(signs)
+        sign = _PLATEAU_SIGN[level]
         command = np.where(sign > 0, run["bullet_accel"],
                            np.where(sign < 0, -run["bullet_decel"], 0.0))
         command = np.where(run["enabled"], command, run["bullet_accel"])
@@ -468,8 +523,19 @@ def _run_group(configs) -> list[Trace]:
         run["bullet_position"] = run["bullet_position"] + bullet_speed * run["su_per_mph_tick"]
         run["target_position"] = run["target_position"] + target_speed * run["su_per_mph_tick"]
 
-    return [Trace(config=config, records=tuple(sink), collision=at is not None, collision_tick=at)
-            for config, sink, at in zip(configs, records, collision_tick)]
+    gaps, bullet_speeds, target_speeds = recorded
+    tables = (_sight_distances(configs, bullet_speeds), gaps, _DISPLAY[plateau],
+              bullet_speeds, target_speeds)
+    traces = []
+    # Each run's column of every table, cut to the ticks it ran.
+    for config, n_ticks, *rows in zip(configs, length.tolist(), *(t.T.tolist() for t in tables)):
+        ssd, distance, display, bullet, target = (tuple(row[:n_ticks]) for row in rows)
+        columns = TraceColumns(tuple(range(n_ticks)), ssd, distance, display,
+                               tuple(map(_LEVEL.__getitem__, display)), bullet, target)
+        collision = n_ticks < config.ticks
+        traces.append(Trace(config, collision=collision, collision_tick=n_ticks if collision else None,
+                            columns=columns))
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +597,10 @@ def _parse_unit(text: str, name: str, lineno: int) -> float:
 # ---------------------------------------------------------------------------
 
 def trace_to_csv(trace: Trace) -> str:
+    # ``_value_`` is the level's value without the ``value`` property's call.
     lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(
-            f"{r.tick},{r.ssd!r},{r.distance!r},{r.fear_display},"
-            f"{r.fear_level.value},{r.bullet_speed!r},{r.target_speed!r}"
-        )
+    lines += [f"{tick},{ssd!r},{gap!r},{display},{level._value_},{bullet!r},{target!r}"
+              for tick, ssd, gap, display, level, bullet, target in zip(*trace.columns)]
     if trace.collision:
         lines.append(f"# collision at tick {trace.collision_tick}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from fearsim.emotion import (
     fear_rulebase,
     generate_fear_rules,
     likelihood_rulebase,
+    _plateau_indices,
 )
 
 VERY_LOW_BAND = (0.0, 0.24)
@@ -205,6 +206,62 @@ def test_classify_is_monotone_step_function():
 def test_classify_tie_goes_to_higher_plateau():
     # 0.11 sits exactly between the 6 and 16 plateaus
     assert classify_level(0.11)[1] == 16
+
+
+# The quantizer as a loop over the plateaus, with its plateau -> level map:
+# the oracle for the table form.
+PLATEAU_LEVEL = {6: FearLevel.VERY_LOW, 16: FearLevel.VERY_LOW, 26: FearLevel.LOW,
+                 36: FearLevel.LOW, 49: FearLevel.MEDIUM, 66: FearLevel.HIGH,
+                 76: FearLevel.VERY_HIGH}
+
+
+def nearest_plateau(intensity):
+    scaled = 100.0 * intensity
+    display = DISPLAY_PLATEAUS[0]
+    best = abs(scaled - display)
+    for plateau in DISPLAY_PLATEAUS[1:]:
+        d = abs(scaled - plateau)
+        if d <= best:  # ties go to the higher plateau
+            best = d
+            display = plateau
+    return display
+
+
+def quantizer_probes():
+    """A dense grid over [0, 1] plus 2,000 ulps either side of every midpoint."""
+    grid = np.linspace(0.0, 1.0, 100_001)
+    midpoints = np.array([11.0, 21.0, 31.0, 42.5, 57.5, 71.0]) / 100.0
+    near = [midpoints]
+    for direction in (0.0, 1.0):
+        x = midpoints
+        for _ in range(2000):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    return np.concatenate([grid, *near])
+
+
+def test_quantizer_table_matches_the_nearest_plateau_loop():
+    probes = quantizer_probes()
+    want = [nearest_plateau(x) for x in probes.tolist()]
+    assert [classify_level(x) for x in probes.tolist()] == [(PLATEAU_LEVEL[d], d) for d in want]
+    batch = _plateau_indices(probes, np.zeros_like(probes))
+    assert [DISPLAY_PLATEAUS[i] for i in batch.tolist()] == want
+
+
+def test_batch_quantizer_matches_scalar_with_thresholds():
+    rng = np.random.default_rng(6)
+    potential = np.concatenate([rng.random(20_000), quantizer_probes(), [0.0, 1.0]])
+    threshold = np.concatenate([rng.random(20_000) * 0.3,
+                                rng.choice([0.0, 0.05, 0.2], potential.size - 20_000)])
+    batch = _plateau_indices(potential, threshold).tolist()
+    for p, t, index in zip(potential.tolist(), threshold.tolist(), batch):
+        assert classify_level(fear_intensity(p, t))[1] == DISPLAY_PLATEAUS[index]
+
+
+def test_batch_quantizer_rejects_potential_outside_unit_interval():
+    for bad in (1.2, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="potential=.* outside"):
+            _plateau_indices(np.array([0.5, bad, 0.3]), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from fearsim.experiments import (
 )
 from fearsim.emotion import EmotionInputs
 from fearsim.monitors import Verdict
-from fearsim.sight import AGENT_PROFILE, HUMAN_PROFILE, SsdParams, stopping_sight_distance
+from fearsim.sight import (
+    AGENT_PROFILE, HUMAN_PROFILE, MPH_TO_FPS, SsdParams, stopping_sight_distance,
+)
 from fearsim.sim import ScenarioConfig, WorldConfig, run_scenario, trace_to_csv
 
 
@@ -277,6 +279,69 @@ def test_measured_overtaking_distance_close_to_formula():
     measured = measured_overtaking_distance(30.0, 1.0, 5.0, 15.0)
     formula = overtaking_sight_distance(OsdParams(30.0 * MPH_TO_FPS, 1.0, 5.0, 15.0))
     assert measured == pytest.approx(formula, rel=0.005)
+
+
+# ---------------------------------------------------------------------------
+# measured distances against the step-by-step Euler loops
+# ---------------------------------------------------------------------------
+
+def stopping_loop(speed_mph, reaction_time, deceleration=11.2):
+    v = speed_mph * MPH_TO_FPS
+    distance = v * reaction_time
+    while v > 0:
+        v = max(0.0, v - deceleration * 1e-3)
+        distance += v * 1e-3
+    return distance
+
+
+def overtaking_loop(speed_mph, reaction_time, spacing, acceleration):
+    v = speed_mph * MPH_TO_FPS
+    distance = v * reaction_time + 2.0 * spacing
+    covered = 0.0
+    lateral_v = 0.0
+    while covered < 2.0 * spacing:
+        lateral_v += acceleration * 1e-3
+        covered += lateral_v * 1e-3
+        distance += v * 1e-3
+    return distance
+
+
+SPEED_GRID = [0.0, *range(1, 121), 0.5, 17.3, 33.3, 119.99]
+
+
+def test_measured_stopping_distance_is_the_loop_bit_for_bit():
+    for speed in SPEED_GRID:
+        for profile in (AGENT_PROFILE, HUMAN_PROFILE):
+            want = stopping_loop(speed, profile.reaction_time)
+            assert repr(measured_stopping_distance(speed, profile.reaction_time)) == repr(want), \
+                (speed, profile.name)
+    for deceleration in (0.5, 3.4, 30.0):
+        assert repr(measured_stopping_distance(57.0, 1.5, deceleration)) == \
+            repr(stopping_loop(57.0, 1.5, deceleration))
+
+
+def test_measured_overtaking_distance_is_the_loop_bit_for_bit():
+    calibration = default_osd_calibration()
+    for profile in (AGENT_PROFILE, HUMAN_PROFILE):
+        for speed in SPEED_GRID:
+            p = calibration.params_for(profile, speed)
+            want = overtaking_loop(speed, p.reaction_time, p.spacing, p.acceleration)
+            got = measured_overtaking_distance(speed, p.reaction_time, p.spacing, p.acceleration)
+            assert repr(got) == repr(want), (speed, profile.name)
+        # Every calibration anchor as given, under both reaction times.
+        for speed, spacing, acceleration in calibration.anchors[profile.name]:
+            for t in (AGENT_PROFILE.reaction_time, HUMAN_PROFILE.reaction_time):
+                assert repr(measured_overtaking_distance(speed, t, spacing, acceleration)) == \
+                    repr(overtaking_loop(speed, t, spacing, acceleration)), (speed, spacing, acceleration)
+    assert measured_overtaking_distance(40.0, 1.0, 0.0, 15.0) == overtaking_loop(40.0, 1.0, 0.0, 15.0)
+
+
+def test_measured_distances_reject_a_maneuver_that_never_ends():
+    # The step loops would never stop on these.
+    with pytest.raises(ValueError, match="deceleration must be positive"):
+        measured_stopping_distance(40.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="acceleration must be positive"):
+        measured_overtaking_distance(40.0, 1.0, 5.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

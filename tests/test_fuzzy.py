@@ -152,6 +152,28 @@ def test_parse_reports_massless_output_term_at_its_line():
     assert (exc.value.line, exc.value.column) == (8, 8)
 
 
+# A declaration that LinguisticVariable refuses, and where the parser
+# reports it: the term's token, or the domain's lower bound.
+BAD_VARIABLE_DOCS = [
+    (SMALL_DOC.replace("term x LOW 0 0 0.6\nterm x HIGH 0.4 1 1", "term x HIGH 0.4 1 1\nterm x LOW 0 0 0.6"),
+     r"x: terms must be ordered by peak", (6, 8)),
+    (SMALL_DOC.replace("term x HIGH 0.4 1 1", "term x HIGH 0.4 1 1.5"),
+     r"x\.HIGH: support exceeds domain", (6, 8)),
+    (SMALL_DOC.replace("term y SMALL 0 0.25 0.5", "term y SMALL -0.5 0.25 0.5"),
+     r"y\.SMALL: support exceeds domain", (7, 8)),
+    (SMALL_DOC.replace("input x 0 1", "input x 1 1"), r"x: empty domain", (3, 9)),
+    (SMALL_DOC.replace("output y 0 1", "output y 1 0"), r"y: empty domain", (4, 10)),
+]
+
+
+@pytest.mark.parametrize("doc,message,where", BAD_VARIABLE_DOCS, ids=[
+    "peak-order", "input-support", "output-support", "input-domain", "output-domain"])
+def test_parse_reports_variable_errors_at_their_line(doc, message, where):
+    with pytest.raises(RuleParseError, match=message) as exc:
+        parse_rules(doc)
+    assert (exc.value.line, exc.value.column) == where
+
+
 def test_parse_rule_line_matches_clauses():
     rb = parse_rules(SMALL_DOC)
     assert rb.rules[1] == FuzzyRule(antecedents=(("x", "HIGH"),), consequent=("y", "BIG"))

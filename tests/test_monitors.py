@@ -1,5 +1,7 @@
 """Invariant monitors: verdicts, evidence, and non-interference."""
 
+from hypothesis import given, settings, strategies as st
+
 from fearsim.emotion import FearLevel
 from fearsim.experiments import ComparisonRow, ComparisonTable
 from fearsim.monitors import (
@@ -9,7 +11,7 @@ from fearsim.monitors import (
     reports_to_csv,
     summarize_reports,
 )
-from fearsim.sim import ScenarioConfig, TickRecord, Trace, run_scenario, trace_to_csv
+from fearsim.sim import ScenarioConfig, TickRecord, Trace, run_lockstep, run_scenario, trace_to_csv
 
 LEVEL_DISPLAY = {
     FearLevel.VERY_LOW: 6,
@@ -32,6 +34,59 @@ def synthetic_trace(rows):
             bullet_speed=speed, target_speed=10.0,
         ))
     return Trace(config=ScenarioConfig(), records=tuple(records))
+
+
+def record_loop_reports(trace, threshold=3.0):
+    """Inv1A and Inv1B walked record by record: the oracle for the column form."""
+    rs = trace.records
+    armed, evidence_a = False, []
+    for r in rs:
+        if r.distance < threshold:
+            armed = True
+            if r.fear_level not in (FearLevel.HIGH, FearLevel.VERY_HIGH):
+                evidence_a.append((r.tick, f"gap={r.distance:.4f} fear={r.fear_level}({r.fear_display})"))
+    windows, start = [], None
+    for i in range(1, len(rs)):
+        closing = rs[i].distance < rs[i - 1].distance and rs[i].bullet_speed >= rs[i - 1].bullet_speed
+        if closing and start is None:
+            start = i - 1
+        elif not closing and start is not None:
+            windows.append((start, i - 1))
+            start = None
+    if start is not None:
+        windows.append((start, len(rs) - 1))
+    evidence_b = [(rs[i].tick, f"display {rs[i - 1].fear_display}->{rs[i].fear_display} while gap "
+                               f"{rs[i - 1].distance:.4f}->{rs[i].distance:.4f}")
+                  for lo, hi in windows for i in range(lo + 1, hi + 1)
+                  if rs[i].fear_display < rs[i - 1].fear_display]
+    def verdict(evidence, armed):
+        return Verdict.VIOLATED if evidence else Verdict.PASS if armed else Verdict.VACUOUS
+
+    return [("Inv1A", verdict(evidence_a, armed), tuple(evidence_a), {"very_small_gap": threshold}),
+            ("Inv1B", verdict(evidence_b, windows), tuple(evidence_b), {"windows": len(windows)})]
+
+
+# Few distinct gaps and speeds, so equal neighbours (not closing) are common.
+_rows = st.lists(st.tuples(st.sampled_from([0.5, 2.0, 2.9, 3.0, 4.0, 9.0]),
+                           st.sampled_from(list(LEVEL_DISPLAY)),
+                           st.sampled_from([10.0, 10.5, 11.0])), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows)
+def test_column_monitors_match_the_record_loop(rows):
+    trace = synthetic_trace(rows)
+    got = [(r.invariant_id, r.verdict, r.evidence, r.parameters) for r in check_trace_invariants(trace)]
+    assert got == record_loop_reports(trace)
+
+
+def test_column_monitors_match_the_record_loop_on_lockstep_runs():
+    configs = [ScenarioConfig(ticks=200, separation=sep, phase_jitter_ticks=30, seed=seed,
+                              undesirability=u, fear_threshold=thr)
+               for sep in (1.0, 2.5, 6.0) for seed in range(4) for u, thr in ((1.0, 0.0), (0.5, 0.2))]
+    for trace in run_lockstep(configs):
+        got = [(r.invariant_id, r.verdict, r.evidence, r.parameters) for r in check_trace_invariants(trace)]
+        assert got == record_loop_reports(trace)
 
 
 # ---------------------------------------------------------------------------

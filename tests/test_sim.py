@@ -6,6 +6,8 @@ from fearsim.emotion import EmotionInputs, FearLevel
 from fearsim.sight import MPH_TO_FPS
 from fearsim.sim import (
     ScenarioConfig,
+    TickRecord,
+    Trace,
     VehicleState,
     WorldConfig,
     decide_maneuver,
@@ -211,6 +213,39 @@ def test_lockstep_matches_scalar_runs_of_any_length():
         assert trace.config is config
         assert trace == run_scenario(config)
         assert trace_to_csv(trace) == trace_to_csv(run_scenario(config))
+
+
+COLLIDING = ScenarioConfig(
+    eeec_agent_enabled=False, separation=0.05, bullet_accel=5.0,
+    target_accel=0.0, target_decel=0.0, ticks=500, world=WorldConfig(tick_seconds=10.0),
+)
+
+
+def test_lockstep_traces_round_trip_through_csv():
+    configs = [ScenarioConfig(ticks=0), ScenarioConfig(ticks=40, separation=4.0),
+               ScenarioConfig(ticks=60, kind="overtaking", seed=3, phase_jitter_ticks=7), COLLIDING]
+    traces = run_lockstep(configs)
+    assert traces[0].records == ()
+    assert traces[3].collision
+    for trace in traces:
+        rebuilt = trace_from_csv(trace_to_csv(trace), trace.config)
+        assert rebuilt.records == trace.records
+        assert (rebuilt.collision, rebuilt.collision_tick) == (trace.collision, trace.collision_tick)
+        # Built from columns or from records, equal traces are interchangeable.
+        scalar = run_scenario(trace.config)
+        assert rebuilt == trace == scalar
+        assert hash(rebuilt) == hash(trace) == hash(scalar)
+        assert trace.columns == scalar.columns
+
+
+def test_trace_records_are_built_once():
+    lockstep, = run_lockstep([ScenarioConfig(ticks=20)])
+    assert lockstep.records is lockstep.records
+    assert all(isinstance(r, TickRecord) for r in lockstep.records)
+    hash(lockstep.records)
+    scalar = run_scenario(ScenarioConfig(ticks=20))
+    assert scalar.records is scalar.records
+    assert Trace(config=scalar.config, records=scalar.records).records is scalar.records
 
 
 def test_invalid_config_rejected():
