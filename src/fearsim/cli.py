@@ -87,6 +87,11 @@ def _cmd_sweep(args) -> int:
     violated = sum(1 for rep in verdicts if not rep.ok)
     print(f"ran {len(dataset.runs)} runs -> {args.out_dir} "
           f"({violated} invariant violations)")
+    counts = {}
+    for rep in verdicts:
+        counts.setdefault(rep.invariant_id, dict.fromkeys(monitors.Verdict, 0))[rep.verdict] += 1
+    for invariant_id, by_verdict in counts.items():
+        print(invariant_id, *(f"{verdict}={n}" for verdict, n in by_verdict.items()))
     return EXIT_VIOLATION if violated else EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """Sweep runner and sight-distance comparison studies.
 
 ``run_sweep`` executes a grid of scenario rows with repetitions, all runs
-advancing together one tick at a time, attaches the overlay monitors to
-every finished trace, and aggregates summaries.
+advancing together one tick at a time and runs with the same dynamics
+simulated once, attaches the overlay monitors to every distinct trace,
+and aggregates summaries.
 ``compare_ssd`` / ``compare_osd`` build agent-vs-human comparison tables:
 each row carries the closed-form distance for both profiles next to a
 distance measured by integrating the avoidance maneuver kinematics, and a
@@ -29,7 +30,7 @@ from .sight import (
     overtaking_sight_distance,
     stopping_sight_distance,
 )
-from .sim import ScenarioConfig, Trace, run_lockstep, trace_to_csv
+from .sim import ScenarioConfig, Trace, _csv_fields, _numbered_lines, run_lockstep, trace_to_csv
 # Not called here: sweeps run in lock-step.  The name stays in this
 # module's namespace because perfbench/tracer.py wraps it at this site.
 from .sim import run_scenario  # noqa: F401
@@ -65,8 +66,6 @@ class SweepSpec:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if not self.rows:
-            return
         if self.ticks < 0:
             raise ValueError("ticks must be non-negative")
 
@@ -93,9 +92,9 @@ class SweepDataset:
     def serialize(self) -> bytes:
         """Canonical byte form of the whole dataset, for determinism checks."""
         parts = []
-        for run in self.runs:
+        for run, csv in zip(self.runs, _trace_csvs(self.runs)):
             parts.append(f"## run {run.row_index} {run.repetition} seed={run.seed}\n")
-            parts.append(trace_to_csv(run.trace))
+            parts.append(csv)
             parts.append(f"mean_display={run.mean_display!r} min_gap={run.min_gap!r}\n")
             for rep in run.reports:
                 parts.append(f"{rep.invariant_id}={rep.verdict}\n")
@@ -119,6 +118,17 @@ class SweepDataset:
         return "\n".join(lines) + "\n"
 
 
+def _trace_csvs(runs):
+    """``trace_to_csv`` of each run's trace, formatting traces that share columns once."""
+    texts = {}
+    for run in runs:
+        trace = run.trace
+        key = (id(trace.columns), trace.collision, trace.collision_tick)
+        if key not in texts:
+            texts[key] = trace_to_csv(trace)
+        yield texts[key]
+
+
 def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMALL_GAP) -> SweepDataset:
     """Run rows x repetitions, monitored; deterministic for a base seed.
 
@@ -127,26 +137,42 @@ def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMA
     dataset is reproducible byte for byte.  The runs advance together in
     lock-step (``sim.run_lockstep``), with the traces ``run_scenario``
     gives.
+
+    Runs whose configs differ only in the seed and draw the same phase
+    offset (every repetition of a row without jitter) are simulated and
+    monitored once; each gets a ``Trace`` with its own config over the
+    shared columns.
     """
     configs = []
+    firsts = {}  # dynamics key -> the first config with it
     for row_index, row in enumerate(spec.rows):
+        # By repr, not ==: 0.0 == -0.0, but a -0.0 floor speed is
+        # recorded as such.
+        dynamics = repr(replace(row, ticks=spec.ticks, seed=0))
         for repetition in range(spec.repetitions):
             index = row_index * spec.repetitions + repetition
-            configs.append((row_index, repetition, replace(
-                row, ticks=spec.ticks, seed=spec.base_seed + index)))
-    traces = run_lockstep([config for _, _, config in configs])
-    runs = []
-    for (row_index, repetition, config), trace in zip(configs, traces):
-        reports = monitors.check_trace_invariants(trace, very_small_gap)
+            config = replace(row, ticks=spec.ticks, seed=spec.base_seed + index)
+            key = (dynamics, config.phase_offset())
+            firsts.setdefault(key, config)
+            configs.append((row_index, repetition, config, key))
+    shared = {}
+    for key, trace in zip(firsts, run_lockstep(list(firsts.values()))):
         displays, gaps = trace.columns.fear_display, trace.columns.distance
+        shared[key] = (trace, tuple(monitors.check_trace_invariants(trace, very_small_gap)),
+                       sum(displays) / len(displays) if displays else 0.0,
+                       min(gaps) if gaps else float("nan"))
+    runs = []
+    for row_index, repetition, config, key in configs:
+        trace, reports, mean_display, min_gap = shared[key]
         runs.append(RunResult(
             row_index=row_index,
             repetition=repetition,
             seed=config.seed,
-            trace=trace,
-            mean_display=sum(displays) / len(displays) if displays else 0.0,
-            min_gap=min(gaps) if gaps else float("nan"),
-            reports=tuple(reports),
+            trace=Trace(config, collision=trace.collision, collision_tick=trace.collision_tick,
+                        columns=trace.columns),
+            mean_display=mean_display,
+            min_gap=min_gap,
+            reports=reports,
         ))
     return SweepDataset(spec=spec, runs=tuple(runs))
 
@@ -157,9 +183,9 @@ def write_sweep_dir(dataset: SweepDataset, out_dir) -> None:
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    for run in dataset.runs:
+    for run, csv in zip(dataset.runs, _trace_csvs(dataset.runs)):
         path = os.path.join(out_dir, f"run_{run.row_index:02d}_{run.repetition:03d}.csv")
-        atomic_write(path, trace_to_csv(run.trace))
+        atomic_write(path, csv)
     atomic_write(os.path.join(out_dir, "aggregate.csv"), dataset.aggregate_csv())
     atomic_write(os.path.join(out_dir, "invariants.csv"), dataset.invariants_csv())
 
@@ -189,7 +215,7 @@ class ComparisonTable:
             raise ValueError("comparison table speeds must be strictly increasing")
 
     def to_csv(self) -> str:
-        lines = ["speed_mph,agent_ft,human_ft,kind,success,agent_measured_ft,human_measured_ft"]
+        lines = [_TABLE_HEADER]
         for r in self.rows:
             lines.append(f"{r.speed_mph!r},{r.agent_ft!r},{r.human_ft!r},{r.kind},"
                          f"{str(r.success).lower()},{r.agent_measured_ft!r},{r.human_measured_ft!r}")
@@ -197,16 +223,23 @@ class ComparisonTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "ComparisonTable":
-        lines = [l for l in text.splitlines() if l.strip()]
-        header = "speed_mph,agent_ft,human_ft,kind,success,agent_measured_ft,human_measured_ft"
-        if not lines or lines[0] != header:
+        """Rebuild a table from ``to_csv``; a malformed row is a ValueError naming its line."""
+        lines = _numbered_lines(text)
+        if not lines or lines[0][1] != _TABLE_HEADER:
             raise ValueError("not a comparison table CSV")
-        rows = []
-        for line in lines[1:]:
-            f = line.split(",")
-            rows.append(ComparisonRow(float(f[0]), float(f[1]), float(f[2]), f[3],
-                                      f[4] == "true", float(f[5]), float(f[6])))
-        return cls(tuple(rows))
+        names = _TABLE_HEADER.split(",")
+        return cls(tuple(ComparisonRow(*_csv_fields(line, _TABLE_PARSERS, names, lineno))
+                         for lineno, line in lines[1:]))
+
+
+def _parse_success(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+_TABLE_HEADER = "speed_mph,agent_ft,human_ft,kind,success,agent_measured_ft,human_measured_ft"
+_TABLE_PARSERS = (float, float, float, str, _parse_success, float, float)
 
 
 _DT = 1e-3  # integration step of the measured distances, seconds

@@ -606,31 +606,55 @@ def trace_to_csv(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NOT_A = {int: "is not an integer", float: "is not a number"}
+
+
+def _csv_fields(line: str, parsers, names, lineno: int) -> list:
+    """One CSV row through one parser per column.
+
+    A wrong field count or a field its parser rejects is a ValueError that
+    names the line (``lineno``, counted from 1) and the column.
+    """
+    fields = line.split(",")
+    if len(fields) != len(parsers):
+        raise ValueError(f"line {lineno}: expected {len(parsers)} comma-separated fields, "
+                         f"got {len(fields)}")
+    values = []
+    for parse, name, text in zip(parsers, names, fields):
+        try:
+            values.append(parse(text))
+        except ValueError as exc:
+            reason = f" {_NOT_A[parse]}: {text!r}" if parse in _NOT_A else f": {exc}"
+            raise ValueError(f"line {lineno}: {name}{reason}") from None
+    return values
+
+
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text`` with their line numbers, from 1."""
+    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1) if line.strip()]
+
+
+_TRACE_PARSERS = (int, float, float, int, FearLevel.from_name, float, float)
+
+
 def trace_from_csv(text: str, config: ScenarioConfig | None = None) -> Trace:
-    """Rebuild a trace from its CSV form (for the validate command)."""
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
+    """Rebuild a trace from its CSV form (for the validate command).
+
+    A malformed row or collision comment is a ValueError naming its line.
+    """
+    lines = _numbered_lines(text)
+    if not lines or lines[0][1] != TRACE_HEADER:
         raise ValueError(f"trace CSV must start with header {TRACE_HEADER!r}")
     collision = False
     collision_tick = None
-    records = []
-    for line in lines[1:]:
+    rows = []
+    for lineno, line in lines[1:]:
         if line.startswith("#"):
             if "collision at tick" in line:
                 collision = True
-                collision_tick = int(line.rsplit(" ", 1)[1])
+                collision_tick, = _csv_fields(line.rsplit(" ", 1)[1], (int,), ("collision tick",), lineno)
             continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ValueError(f"bad trace row: {line!r}")
-        records.append(TickRecord(
-            tick=int(fields[0]),
-            ssd=float(fields[1]),
-            distance=float(fields[2]),
-            fear_display=int(fields[3]),
-            fear_level=FearLevel.from_name(fields[4]),
-            bullet_speed=float(fields[5]),
-            target_speed=float(fields[6]),
-        ))
+        rows.append(_csv_fields(line, _TRACE_PARSERS, TraceColumns._fields, lineno))
+    columns = TraceColumns._make(map(tuple, zip(*rows))) if rows else TraceColumns(*[()] * 7)
     return Trace(config=config if config is not None else ScenarioConfig(),
-                 records=tuple(records), collision=collision, collision_tick=collision_tick)
+                 collision=collision, collision_tick=collision_tick, columns=columns)

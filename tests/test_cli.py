@@ -110,7 +110,7 @@ def test_sweep_writes_dataset(tmp_path):
     assert sum(1 for n in names if n.startswith("run_")) == 4
 
 
-def test_sweep_shipped_config_end_to_end(tmp_path, data_file):
+def test_sweep_shipped_config_end_to_end(tmp_path, data_file, capsys):
     out_dir = tmp_path / "dataset"
     code = main(["sweep", "--config", data_file("sweep_spaced_gap.cfg"),
                  "--out-dir", str(out_dir)])
@@ -119,6 +119,12 @@ def test_sweep_shipped_config_end_to_end(tmp_path, data_file):
     assert sum(1 for n in names if n.startswith("run_")) == 250
     invariants = (out_dir / "invariants.csv").read_text()
     assert "violated" not in invariants
+    # Neither invariant arms in this sweep.
+    assert capsys.readouterr().out.splitlines() == [
+        f"ran 250 runs -> {out_dir} (0 invariant violations)",
+        "Inv1A pass=0 violated=0 vacuous=250",
+        "Inv1B pass=0 violated=0 vacuous=250",
+    ]
 
 
 def test_compare_ssd_writes_table_and_plot(tmp_path):
@@ -189,6 +195,51 @@ def test_plot_from_trace_csv(tmp_path, data_file):
 
 def test_plot_requires_exactly_one_source(tmp_path, capsys):
     assert main(["plot", "--out", str(tmp_path / "x.svg")]) == 1
+
+
+def _with_field(line, index, value):
+    fields = line.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+def _table_csv(tmp_path):
+    path = tmp_path / "ssd.csv"
+    assert main(["compare-ssd", "--speeds", "15,30,50", "--out", str(path)]) == 0
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3] + [lines[3][:25]], "line 4: expected 7 comma-separated fields, got 3"),
+    (lambda lines: [lines[0], _with_field(lines[1], 4, "yes")] + lines[2:],
+     "line 2: success: expected true or false, got 'yes'"),
+    # Blank lines count.
+    (lambda lines: [lines[0], "", lines[1], _with_field(lines[2], 1, "x")] + lines[3:],
+     "line 4: agent_ft is not a number: 'x'"),
+])
+def test_plot_malformed_table_names_the_line(tmp_path, capsys, edit, message):
+    table = tmp_path / "bad.csv"
+    table.write_text("\n".join(edit(_table_csv(tmp_path))) + "\n")
+    capsys.readouterr()
+    assert main(["plot", "--table", str(table), "--out", str(tmp_path / "x.svg")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + [_with_field(lines[2], 1, "x")] + lines[3:],
+     "line 3: ssd is not a number: 'x'"),
+    (lambda lines: lines + ["# collision at tick"], "line 1202: collision tick is not an integer: 'tick'"),
+    (lambda lines: lines[:5] + [lines[5] + ",1"], "line 6: expected 7 comma-separated fields, got 8"),
+])
+def test_validate_malformed_trace_names_the_line(tmp_path, data_file, capsys, edit, message):
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", data_file("replay_close_gap_low_speed.cfg"),
+                 "--out", str(trace)]) == 0
+    trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_simulate_with_emotion_records(tmp_path, data_file):

@@ -10,6 +10,8 @@ from fearsim.experiments import (
     ComparisonRow,
     ComparisonTable,
     OsdCalibration,
+    RunResult,
+    SweepDataset,
     SweepSpec,
     compare_osd,
     compare_ssd,
@@ -20,7 +22,7 @@ from fearsim.experiments import (
     write_sweep_dir,
 )
 from fearsim.emotion import EmotionInputs
-from fearsim.monitors import Verdict
+from fearsim.monitors import Verdict, check_trace_invariants
 from fearsim.sight import (
     AGENT_PROFILE, HUMAN_PROFILE, MPH_TO_FPS, SsdParams, stopping_sight_distance,
 )
@@ -63,6 +65,12 @@ def test_empty_spec_gives_empty_dataset():
 def test_sweep_rejects_bad_repetitions():
     with pytest.raises(ValueError):
         SweepSpec(rows=(ScenarioConfig(),), repetitions=0)
+
+
+@pytest.mark.parametrize("rows", [(), (ScenarioConfig(),)])
+def test_sweep_rejects_negative_ticks(rows):
+    with pytest.raises(ValueError, match="ticks must be non-negative"):
+        SweepSpec(rows=rows, ticks=-1)
 
 
 def test_sweep_attaches_reports_per_run():
@@ -195,6 +203,126 @@ def test_lockstep_sweep_across_a_group_boundary():
     dataset = assert_sweep_matches_scalar_runs(
         SweepSpec(rows=scenario_rows, repetitions=1, ticks=40, base_seed=3))
     assert 0 < sum(run.trace.collision for run in dataset.runs) < 300
+
+
+# ---------------------------------------------------------------------------
+# runs with the same dynamics, simulated and formatted once
+# ---------------------------------------------------------------------------
+
+def unshared_dataset(spec):
+    """The dataset run_sweep gives, from every run's own run_scenario trace."""
+    runs = []
+    for row_index, row in enumerate(spec.rows):
+        for repetition in range(spec.repetitions):
+            seed = spec.base_seed + row_index * spec.repetitions + repetition
+            trace = run_scenario(replace(row, ticks=spec.ticks, seed=seed))
+            displays, gaps = trace.columns.fear_display, trace.columns.distance
+            runs.append(RunResult(
+                row_index, repetition, seed, trace,
+                mean_display=sum(displays) / len(displays) if displays else 0.0,
+                min_gap=min(gaps) if gaps else float("nan"),
+                reports=tuple(check_trace_invariants(trace))))
+    return SweepDataset(spec, tuple(runs))
+
+
+def serialized(dataset):
+    """``SweepDataset.serialize`` with one ``trace_to_csv`` call per run."""
+    parts = []
+    for run in dataset.runs:
+        parts += [f"## run {run.row_index} {run.repetition} seed={run.seed}\n",
+                  trace_to_csv(run.trace),
+                  f"mean_display={run.mean_display!r} min_gap={run.min_gap!r}\n",
+                  *(f"{rep.invariant_id}={rep.verdict}\n" for rep in run.reports)]
+    return "".join(parts).encode()
+
+
+def exported(dataset):
+    """The files ``write_sweep_dir`` should write, with one ``trace_to_csv`` call per run."""
+    files = {f"run_{run.row_index:02d}_{run.repetition:03d}.csv": trace_to_csv(run.trace)
+             for run in dataset.runs}
+    files.update({"aggregate.csv": dataset.aggregate_csv(), "invariants.csv": dataset.invariants_csv()})
+    return {name: text.encode() for name, text in files.items()}
+
+
+# Values that compare equal but differ in type or sign.  A -0.0 floor
+# speed or OSD spacing is recorded as such, so rows with those may not
+# share a trace with their +0.0 twins.
+_TWIN_VALUES = {
+    "fear_threshold": [0.0, -0.0],
+    "bullet_accel": [0.0, -0.0, 1, 1.0],
+    "bullet_decel": [0.0, -0.0, 1, 1.0],
+    "target_accel": [0.0, -0.0, 1, 1.0],
+    "target_decel": [0.0, -0.0, 1, 1.0],
+    "separation": [1, 1.0],
+    "osd_spacing": [0.0, -0.0],
+}
+_TWIN_MIN_VELOCITY = [0, 0.0, -0.0, 10, 10.0]
+
+
+@st.composite
+def sharing_specs(draw):
+    """Sweeps whose rows repeat a few base rows, with jitter 0 or small
+    jitter (so some repetitions share a phase offset and some do not), some
+    fields set to equal values of another type or sign."""
+    bases = [replace(row, phase_jitter_ticks=draw(st.sampled_from([0, 0, 1, 3])),
+                     target_phase_ticks=draw(st.integers(1, 8)))
+             for row in draw(st.lists(rows(), min_size=1, max_size=3))]
+    spec_rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.sampled_from(bases))
+        changes = {name: draw(st.sampled_from(values))
+                   for name, values in _TWIN_VALUES.items() if draw(st.booleans())}
+        if draw(st.booleans()):
+            min_velocity = draw(st.sampled_from(_TWIN_MIN_VELOCITY))
+            changes["world"] = replace(row.world, min_velocity=min_velocity,
+                                       max_velocity=max(row.world.max_velocity, min_velocity, 1.0))
+        spec_rows.append(replace(row, **changes))
+    return SweepSpec(rows=tuple(spec_rows), repetitions=draw(st.integers(1, 4)),
+                     ticks=draw(st.integers(0, 30)), base_seed=draw(st.integers(0, 10**6)))
+
+
+def dynamics_key(spec, run):
+    return (repr(replace(spec.rows[run.row_index], ticks=spec.ticks, seed=0)),
+            run.trace.config.phase_offset())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sharing_specs())
+@example(SweepSpec(rows=(ScenarioConfig(world=WorldConfig(min_velocity=0.0)),
+                         ScenarioConfig(world=WorldConfig(min_velocity=-0.0)),
+                         ScenarioConfig(world=WorldConfig(min_velocity=0)),
+                         ScenarioConfig(world=WorldConfig(min_velocity=0), kind="overtaking",
+                                        osd_spacing=-0.0)),
+                   repetitions=3, ticks=5))
+@example(SweepSpec(rows=(ScenarioConfig(phase_jitter_ticks=3, target_phase_ticks=2),) * 2,
+                   repetitions=4, ticks=10))
+def test_shared_runs_give_the_bytes_of_unshared_runs(tmp_path_factory, spec):
+    shared, unshared = run_sweep(spec), unshared_dataset(spec)
+    assert shared.serialize() == serialized(unshared)
+    assert shared.aggregate_csv() == unshared.aggregate_csv()
+    assert shared.invariants_csv() == unshared.invariants_csv()
+    out_dir = tmp_path_factory.mktemp("sweep")
+    write_sweep_dir(shared, out_dir)
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == exported(unshared)
+    columns = {}
+    for run in shared.runs:
+        assert run.trace.config == replace(spec.rows[run.row_index], ticks=spec.ticks, seed=run.seed)
+        assert run.trace.config.seed == run.seed
+        # One columns object per key, and none shared between keys.
+        assert columns.setdefault(dynamics_key(spec, run), run.trace.columns) is run.trace.columns
+    assert len({id(c) for c in columns.values()}) == len(columns)
+
+
+def test_repetitions_without_jitter_share_one_trace():
+    spec = SweepSpec(rows=(ScenarioConfig(), ScenarioConfig(), ScenarioConfig(separation=3.0),
+                           ScenarioConfig(phase_jitter_ticks=20)), repetitions=50, ticks=30)
+    dataset = run_sweep(spec)
+    by_row = [{id(run.trace.columns) for run in dataset.runs if run.row_index == i} for i in range(4)]
+    # Equal rows share across rows too; the jittered row draws 21 offsets at most.
+    assert by_row[0] == by_row[1] and len(by_row[0]) == 1
+    assert len(by_row[2]) == 1 and by_row[2] != by_row[0]
+    assert 1 < len(by_row[3]) <= 21
+    assert [run.trace.config.seed for run in dataset.runs] == list(range(200))
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +485,24 @@ def test_table_requires_increasing_speeds():
 def test_table_csv_round_trip():
     table = compare_ssd([15.0, 50.0])
     assert ComparisonTable.from_csv(table.to_csv()) == table
+
+
+_table_floats = st.floats(allow_nan=False)
+
+
+@st.composite
+def tables(draw):
+    speeds = sorted(draw(st.lists(_table_floats, unique=True, max_size=8)))
+    return ComparisonTable(tuple(
+        ComparisonRow(v, draw(_table_floats), draw(_table_floats),
+                      draw(st.sampled_from(["rear_end", "overtaking"])), draw(st.booleans()),
+                      draw(_table_floats), draw(_table_floats))
+        for v in speeds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_drawn_tables_round_trip_through_csv(table):
+    text = table.to_csv()
+    assert ComparisonTable.from_csv(text) == table
+    assert ComparisonTable.from_csv(text).to_csv() == text

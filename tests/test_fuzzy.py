@@ -475,6 +475,14 @@ def test_drawn_rulebases_match_full_scan(rb, data):
     assert_matches_full_scan(rb, inputs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rulebases())
+def test_drawn_rulebases_round_trip(rb):
+    text = format_rules(rb)
+    assert parse_rules(text) == rb
+    assert format_rules(parse_rules(text)) == text
+
+
 _shipped_knots = [0.0, 0.3, 0.49, 0.705, 1.0]
 _shipped_inputs = st.one_of(st.sampled_from(_shipped_knots), st.floats(0.0, 1.0))
 

@@ -1,6 +1,7 @@
 """Simulator: maneuvers, stepping, scenarios, record import, trace CSV."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fearsim.emotion import EmotionInputs, FearLevel
 from fearsim.sight import MPH_TO_FPS
@@ -236,6 +237,32 @@ def test_lockstep_traces_round_trip_through_csv():
         assert rebuilt == trace == scalar
         assert hash(rebuilt) == hash(trace) == hash(scalar)
         assert trace.columns == scalar.columns
+
+
+_floats = st.floats(allow_nan=False)
+
+
+@st.composite
+def traces(draw):
+    """Any trace the CSV form can hold: every finite or infinite float,
+    either sign of zero, any ints, with and without a collision."""
+    records = draw(st.lists(st.builds(
+        TickRecord, tick=st.integers(), ssd=_floats, distance=_floats,
+        fear_display=st.integers(), fear_level=st.sampled_from(FearLevel),
+        bullet_speed=_floats, target_speed=_floats), max_size=20))
+    collision_tick = draw(st.one_of(st.none(), st.integers()))
+    return Trace(ScenarioConfig(), records, collision=collision_tick is not None,
+                 collision_tick=collision_tick)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_drawn_traces_round_trip_through_csv(trace):
+    text = trace_to_csv(trace)
+    rebuilt = trace_from_csv(text)
+    assert rebuilt == trace
+    assert rebuilt.records == trace.records
+    assert trace_to_csv(rebuilt) == text
 
 
 def test_trace_records_are_built_once():
