@@ -9,6 +9,7 @@ temp-and-rename so a failed run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import charts, experiments, monitors
@@ -30,20 +31,34 @@ def _read(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _speed(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"--speeds: {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"--speeds: {text.strip()!r} is not finite")
+    return value
+
+
 def _parse_speeds(spec: str) -> list[float]:
-    """Either 'lo:hi:count' or a comma-separated list of mph values."""
+    """Either 'lo:hi:count' or a comma-separated list of finite mph values."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"speed range must be lo:hi:count, got {spec!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1 or hi < lo:
-            raise ConfigError(f"bad speed range {spec!r}")
+            raise ConfigError(f"--speeds: a range must be lo:hi:count, got {spec!r}")
+        lo, hi = _speed(parts[0]), _speed(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise ConfigError(f"--speeds: count {parts[2].strip()!r} is not an integer") from None
+        if count < 1 or hi < lo or not math.isfinite(hi - lo):
+            raise ConfigError(f"--speeds: bad speed range {spec!r}")
         if count == 1:
             return [lo]
         step = (hi - lo) / (count - 1)
         return [lo + step * i for i in range(count)]
-    return [float(p) for p in spec.split(",") if p.strip()]
+    return [_speed(p) for p in spec.split(",") if p.strip()]
 
 
 def _cmd_fuzzy_eval(args) -> int:
@@ -73,7 +88,7 @@ def _cmd_simulate(args) -> int:
     if args.plot:
         atomic_write(args.plot, charts.trace_chart_svg(trace))
     status = "collision" if trace.collision else "ok"
-    print(f"simulated {len(trace.records)} ticks ({status}) -> {args.out}")
+    print(f"simulated {len(trace.columns.tick)} ticks ({status}) -> {args.out}")
     return EXIT_OK
 
 

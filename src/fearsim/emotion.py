@@ -51,10 +51,13 @@ class FearLevel(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "FearLevel":
-        for level in cls:
-            if level.value == name:
-                return level
-        raise ValueError(f"unknown fear level {name!r}")
+        try:
+            return _LEVEL_BY_NAME[name]
+        except KeyError:
+            raise ValueError(f"unknown fear level {name!r}") from None
+
+
+_LEVEL_BY_NAME = {level.value: level for level in FearLevel}
 
 
 # The quantizer table: display plateau (on the 0..100 scale) and level per

@@ -11,9 +11,12 @@ speeds in mph.
 Runs are deterministic: the only randomness is an optional seeded jitter
 of the target's schedule phase, used by sweep repetitions.
 
-``run_scenario`` steps one run at a time.  ``run_lockstep`` advances many
-runs together, one tick at a time, with one array entry per live run, and
-gives the same traces byte for byte; sweeps use it.
+``step`` advances one run by one tick and is the reference; both runners
+give its traces byte for byte.  ``run_scenario`` (one run, ``fearsim
+simulate``) infers the fear of a window of ticks per batch, up to the first
+change of the bullet's command.  ``run_lockstep`` (sweeps) advances many
+runs together, one tick at a time, with one array entry per live run:
+controller runs change command every few ticks, so windows would not pay.
 """
 
 from __future__ import annotations
@@ -234,26 +237,42 @@ _DISPLAY = np.array(DISPLAY_PLATEAUS)
 _LEVEL = {display: level for level, display in _PLATEAUS}
 
 
+def _speed_command(sign: int, accel: float, decel: float) -> float:
+    """The speed change a policy sign asks for: accelerate, brake or hold."""
+    if sign < 0:
+        return -decel
+    return accel if sign > 0 else 0.0
+
+
 def decide_maneuver(level: FearLevel, state: VehicleState, world: WorldConfig) -> float:
     """Signed speed change (mph per tick) for the bullet at this fear level.
 
     High fear brakes, low fear accelerates, medium holds; the command is
     pre-clamped so applying it never leaves [min, max] velocity.
     """
-    sign = _COMMAND_SIGN[level]
-    if sign < 0:
-        command = -state.decel
-    elif sign > 0:
-        command = state.accel
-    else:
-        command = 0.0
+    command = _speed_command(_COMMAND_SIGN[level], state.accel, state.decel)
     return _clamp_speed(state.speed + command, world) - state.speed
 
 
-def _target_schedule_command(config: ScenarioConfig, state: VehicleState, tick: int) -> float:
-    phase = ((tick + config.phase_offset()) // config.target_phase_ticks) % 2
-    command = state.accel if phase == 0 else -state.decel
-    return _clamp_speed(state.speed + command, config.world) - state.speed
+def _target_sign(config: ScenarioConfig, tick: int) -> int:
+    """The target's schedule: accelerate in even phases, brake in odd ones."""
+    return -1 if ((tick + config.phase_offset()) // config.target_phase_ticks) % 2 else 1
+
+
+def _kinematics(world: WorldConfig, state: tuple, bullet_command: float,
+                target_command: float) -> tuple[float, float, float, float]:
+    """Both vehicles one tick on, in ``step``'s operations and order.
+
+    ``state`` is (bullet position, bullet speed, target position, target
+    speed).  Each speed command is clamped so the speed stays in the
+    world's range; then the speed and the position advance.
+    """
+    bullet_position, bullet_speed, target_position, target_speed = state
+    su_per_mph_tick = world.tick_seconds * MPH_TO_FPS / world.patch_scale
+    bullet_speed = bullet_speed + (_clamp_speed(bullet_speed + bullet_command, world) - bullet_speed)
+    target_speed = target_speed + (_clamp_speed(target_speed + target_command, world) - target_speed)
+    return (bullet_position + bullet_speed * su_per_mph_tick, bullet_speed,
+            target_position + target_speed * su_per_mph_tick, target_speed)
 
 
 def _required_sight_distance(config: ScenarioConfig, speed_mph: float) -> float:
@@ -311,28 +330,14 @@ def step(config: ScenarioConfig, bullet: VehicleState, target: VehicleState,
         target_speed=target.speed,
     )
 
-    if config.eeec_agent_enabled:
-        bullet_cmd = decide_maneuver(level, bullet, world)
-    else:
-        # Baseline without the fear controller: keep accelerating.
-        bullet_cmd = _clamp_speed(bullet.speed + bullet.accel, world) - bullet.speed
-    target_cmd = _target_schedule_command(config, target, tick)
-
-    new_bullet_speed = bullet.speed + bullet_cmd
-    new_target_speed = target.speed + target_cmd
-    su_per_mph_tick = world.tick_seconds * MPH_TO_FPS / world.patch_scale
-    new_bullet = VehicleState(
-        position=bullet.position + new_bullet_speed * su_per_mph_tick,
-        speed=new_bullet_speed,
-        accel=bullet.accel,
-        decel=bullet.decel,
-    )
-    new_target = VehicleState(
-        position=target.position + new_target_speed * su_per_mph_tick,
-        speed=new_target_speed,
-        accel=target.accel,
-        decel=target.decel,
-    )
+    # Without the fear controller the bullet keeps accelerating.
+    sign = _COMMAND_SIGN[level] if config.eeec_agent_enabled else 1
+    bullet_position, bullet_speed, target_position, target_speed = _kinematics(
+        world, (bullet.position, bullet.speed, target.position, target.speed),
+        _speed_command(sign, bullet.accel, bullet.decel),
+        _speed_command(_target_sign(config, tick), target.accel, target.decel))
+    new_bullet = VehicleState(bullet_position, bullet_speed, bullet.accel, bullet.decel)
+    new_target = VehicleState(target_position, target_speed, target.accel, target.decel)
     return new_bullet, new_target, record
 
 
@@ -350,22 +355,66 @@ def initial_states(config: ScenarioConfig) -> tuple[VehicleState, VehicleState]:
     return bullet, target
 
 
+# Most ticks one window of ``run_scenario`` steps ahead.  A window without
+# a command change doubles the next one up to this; a change restarts it
+# at a quarter of this.  One batch costs about as much as ten of its
+# ticks, so windows that restart at one tick cost more in batches than
+# they save in dropped ticks (on the shipped replay, 71 batches over 1,568
+# points against 35 over 1,448).
+_WINDOW = 64
+
+
 def run_scenario(config: ScenarioConfig) -> Trace:
-    """Run a scenario to completion; deterministic for a given config."""
+    """Run a scenario to completion; deterministic for a given config.
+
+    Equal to calling ``step`` from ``initial_states`` until the ticks run
+    out or a collision.  The plateau reaches the kinematics only through
+    the bullet's command sign, so the kinematics run a window of ticks
+    ahead as if the last kept tick's sign held, stopping before a closed
+    gap, and the window's fear inference is one batch.  The ticks up to
+    and including the first one whose sign differs are kept, and the next
+    state is stepped from that tick under its own sign, so every kept tick
+    is the one ``step`` gives.  The speculative ticks past it are dropped.
+    """
+    world = config.world
+    appraisal = _appraisal_table([config], config.ticks)[:, :, 0]
+    # Without the fear controller the bullet keeps accelerating.
+    signs = _PLATEAU_SIGN if config.eeec_agent_enabled else np.ones_like(_PLATEAU_SIGN)
     bullet, target = initial_states(config)
-    records: list[TickRecord] = []
-    collision = False
-    collision_tick = None
-    for tick in range(config.ticks):
-        try:
-            bullet, target, record = step(config, bullet, target, tick)
-        except CollisionError as exc:
-            collision = True
-            collision_tick = exc.tick
-            break
-        records.append(record)
-    return Trace(config=config, records=tuple(records),
-                 collision=collision, collision_tick=collision_tick)
+    state = bullet.position, bullet.speed, target.position, target.speed
+    # What each kept tick records, as in ``_run_group``: the gap and both
+    # speeds, and the plateau index.
+    recorded = np.zeros((3, config.ticks, 1))
+    plateaus = np.zeros((config.ticks, 1), dtype=np.int8)
+    # The last kept tick's sign.  The first window is the first tick alone,
+    # so the sign it starts from steps nothing.
+    held = 0
+    width = 1
+    tick = 0
+    while tick < config.ticks and state[2] - state[0] > 0:
+        window = [state]
+        command = _speed_command(held, bullet.accel, bullet.decel)
+        for t in range(tick + 1, min(tick + width, config.ticks)):
+            ahead = _kinematics(world, window[-1], command,
+                                _speed_command(_target_sign(config, t - 1), target.accel, target.decel))
+            if ahead[2] - ahead[0] <= 0:
+                break
+            window.append(ahead)
+        bullet_position, bullet_speed, target_position, target_speed = np.array(window).T
+        gap = target_position - bullet_position
+        rows = np.minimum(np.arange(tick, tick + len(window)), appraisal.shape[1] - 1)
+        plateau = _fear_plateaus(gap, bullet_speed, world.span, world.max_velocity,
+                                 appraisal[:, rows], config.fear_threshold)
+        changed = np.flatnonzero(signs[plateau] != held)
+        keep = int(changed[0]) + 1 if changed.size else len(window)
+        recorded[:, tick:tick + keep, 0] = gap[:keep], bullet_speed[:keep], target_speed[:keep]
+        plateaus[tick:tick + keep, 0] = plateau[:keep]
+        held = int(signs[plateau[keep - 1]])
+        tick += keep
+        state = _kinematics(world, window[keep - 1], _speed_command(held, bullet.accel, bullet.decel),
+                            _speed_command(_target_sign(config, tick - 1), target.accel, target.decel))
+        width = _WINDOW // 4 if changed.size else min(2 * width, _WINDOW)
+    return _traces([config], [tick], recorded[:, :tick], plateaus[:tick])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +448,29 @@ def _clamp_speeds(speed: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.nd
     return np.where(high < speed, high, speed)
 
 
-def _likelihoods(gap: np.ndarray, speed: np.ndarray, span: np.ndarray,
-                 max_velocity: np.ndarray) -> np.ndarray:
-    """``compute_likelihood`` of the normalized gap and speed of many runs."""
-    return likelihood_rulebase()._mamdani_batch({
-        "distance": np.minimum(gap / span, 1.0),
-        "speed": speed / max_velocity,
+def _fear_plateaus(gap: np.ndarray, speed: np.ndarray, span, max_velocity,
+                   appraisal: np.ndarray, threshold) -> np.ndarray:
+    """``step``'s fear pipeline at many points, as plateau indices.
+
+    ``appraisal`` holds undesirability, likelihood and ig per point; a NaN
+    likelihood is computed from the gap and bullet speed.  The world's
+    span and maximum velocity and the fear threshold are per point or
+    shared.
+    """
+    undesirability, likelihood, ig = appraisal
+    missing = np.isnan(likelihood)
+    if missing.any():
+        inputs = {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity}
+        if missing.all():
+            likelihood = likelihood_rulebase()._mamdani_batch(inputs)
+        else:
+            likelihood = likelihood.copy()
+            likelihood[missing] = likelihood_rulebase()._mamdani_batch(
+                {name: value[missing] for name, value in inputs.items()})
+    potential = _additive_batch(fear_rulebase(), {
+        "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
     })
+    return _plateau_indices(potential, threshold)
 
 
 def _appraisal_table(configs, ticks: int) -> np.ndarray:
@@ -472,7 +537,6 @@ def _run_group(configs) -> list[Trace]:
         "bullet_speed": np.array([w.min_velocity for w in worlds], dtype=float),
         "target_speed": np.array([w.min_velocity for w in worlds], dtype=float),
     }
-    given_likelihood = not np.isnan(appraisal[1]).all()
     # What each tick records, one row per tick and one column per run: the
     # gap and both speeds, and the plateau index.
     recorded = np.zeros((3, total_ticks, n))
@@ -493,18 +557,9 @@ def _run_group(configs) -> list[Trace]:
                 break
         bullet_speed, target_speed = run["bullet_speed"], run["target_speed"]
 
-        undesirability, likelihood, ig = run["appraisal"][:, min(tick, appraisal.shape[1] - 1)]
-        if not given_likelihood:
-            likelihood = _likelihoods(gap, bullet_speed, run["span"], run["max_velocity"])
-        elif np.isnan(likelihood).any():
-            missing = np.isnan(likelihood)
-            likelihood = likelihood.copy()
-            likelihood[missing] = _likelihoods(gap[missing], bullet_speed[missing],
-                                               run["span"][missing], run["max_velocity"][missing])
-        potential = _additive_batch(fear_rulebase(), {
-            "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
-        })
-        level = _plateau_indices(potential, run["fear_threshold"])
+        level = _fear_plateaus(gap, bullet_speed, run["span"], run["max_velocity"],
+                               run["appraisal"][:, min(tick, appraisal.shape[1] - 1)],
+                               run["fear_threshold"])
         recorded[:, tick, where] = gap, bullet_speed, target_speed
         plateau[tick, where] = level
 
@@ -523,12 +578,22 @@ def _run_group(configs) -> list[Trace]:
         run["bullet_position"] = run["bullet_position"] + bullet_speed * run["su_per_mph_tick"]
         run["target_position"] = run["target_position"] + target_speed * run["su_per_mph_tick"]
 
+    return _traces(configs, length.tolist(), recorded, plateau)
+
+
+def _traces(configs, length: list[int], recorded: np.ndarray, plateau: np.ndarray) -> list[Trace]:
+    """Each run's trace from (ticks, runs) tables of its ticks.
+
+    ``recorded`` holds the gap and both speeds, ``plateau`` the plateau
+    index.  Run i ran ``length[i]`` ticks, fewer than its config's after a
+    collision.
+    """
     gaps, bullet_speeds, target_speeds = recorded
     tables = (_sight_distances(configs, bullet_speeds), gaps, _DISPLAY[plateau],
               bullet_speeds, target_speeds)
     traces = []
     # Each run's column of every table, cut to the ticks it ran.
-    for config, n_ticks, *rows in zip(configs, length.tolist(), *(t.T.tolist() for t in tables)):
+    for config, n_ticks, *rows in zip(configs, length, *(t.T.tolist() for t in tables)):
         ssd, distance, display, bullet, target = (tuple(row[:n_ticks]) for row in rows)
         columns = TraceColumns(tuple(range(n_ticks)), ssd, distance, display,
                                tuple(map(_LEVEL.__getitem__, display)), bullet, target)

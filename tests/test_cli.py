@@ -29,6 +29,13 @@ def test_simulate_happy_path(tmp_path, data_file, capsys):
     assert "simulated" in capsys.readouterr().out
 
 
+def test_simulate_prints_the_tick_count(tmp_path, data_file, capsys):
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", data_file("replay_close_gap_low_speed.cfg"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"simulated 1200 ticks (ok) -> {out}\n"
+
+
 def test_simulate_unknown_flag_exits_usage():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--bogus"])
@@ -147,6 +154,22 @@ def test_compare_osd_custom_calibration(tmp_path, data_file):
     code = main(["compare-osd", "--speeds", "25,50", "--out", str(out),
                  "--calibration", data_file("calibration.cfg")])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["compare-ssd", "compare-osd"])
+@pytest.mark.parametrize("speeds, bad", [
+    ("30,nan,20", "'nan' is not finite"),
+    ("nan:60:3", "'nan' is not finite"),
+    ("30,inf", "'inf' is not finite"),
+    ("10:inf:3", "'inf' is not finite"),
+    ("30,x", "'x' is not a number"),
+])
+def test_compare_rejects_bad_speeds(tmp_path, capsys, command, speeds, bad):
+    out = tmp_path / "table.csv"
+    assert main([command, "--speeds", speeds, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --speeds: {bad}\n"
+    assert not out.exists()
 
 
 def test_fuzzy_eval_shipped_rules(tmp_path, data_file, capsys):

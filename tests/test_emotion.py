@@ -284,3 +284,12 @@ def test_closing_gap_never_lowers_display():
             display = classify_level(potential)[1]
             assert display >= previous, (speed_norm, gap_norm)
             previous = display
+
+
+def test_from_name_looks_up_each_level():
+    for level in FearLevel:
+        assert FearLevel.from_name(level.value) is level
+    with pytest.raises(ValueError, match=r"^unknown fear level 'x'$"):
+        FearLevel.from_name("x")
+    with pytest.raises(ValueError, match=r"^unknown fear level 'VERY_LOW'$"):
+        FearLevel.from_name("VERY_LOW")

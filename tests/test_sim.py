@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fearsim import sim
 from fearsim.emotion import EmotionInputs, FearLevel
+from fearsim.fuzzy import RuleBase
 from fearsim.sight import MPH_TO_FPS
 from fearsim.sim import (
+    CollisionError,
     ScenarioConfig,
     TickRecord,
     Trace,
@@ -237,6 +240,151 @@ def test_lockstep_traces_round_trip_through_csv():
         assert rebuilt == trace == scalar
         assert hash(rebuilt) == hash(trace) == hash(scalar)
         assert trace.columns == scalar.columns
+
+
+def stepped(config):
+    """The reference run: ``step`` from ``initial_states`` until a collision."""
+    bullet, target = initial_states(config)
+    records = []
+    for tick in range(config.ticks):
+        try:
+            bullet, target, record = step(config, bullet, target, tick)
+        except CollisionError as exc:
+            return Trace(config, records, collision=True, collision_tick=exc.tick)
+        records.append(record)
+    return Trace(config, records)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def scenarios(draw):
+    """Single runs of every shape the windows must get right: both kinds,
+    agent on and off, jitter, thresholds that make the plateau chatter,
+    emotion records with and without a likelihood (shorter and longer than
+    the run, changing every tick or in blocks), fast bullets that collide,
+    and 0, 1 or up to 250 ticks."""
+    ticks = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 250)))
+    records = None
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.tuples(
+            st.builds(EmotionInputs, undesirability=_unit, likelihood=st.none() | _unit, ig=_unit),
+            st.integers(1, 40)), min_size=2, max_size=6))
+        pattern = [record for record, repeat in blocks for _ in range(repeat)]
+        length = draw(st.integers(1, 300))
+        records = tuple(pattern * (length // len(pattern) + 1))[:length]
+    low = draw(st.sampled_from([0, 0.0, 5.0, 10, 10.0, 22.5]))
+    world = WorldConfig(tick_seconds=draw(st.sampled_from([0.1, 1.0, 2.0, 5.0, 10.0])),
+                        min_velocity=low, max_velocity=low + draw(st.floats(1.0, 100.0)))
+    return ScenarioConfig(
+        world=world, kind=draw(st.sampled_from(["rear_end", "overtaking"])),
+        separation=draw(st.floats(0.05, 3.0) | st.floats(0.05, 30.0)), ticks=ticks,
+        eeec_agent_enabled=draw(st.booleans()),
+        bullet_accel=draw(st.floats(0.0, 0.3) | st.floats(0.0, 5.0)),
+        bullet_decel=draw(st.floats(0.0, 0.5)),
+        target_accel=draw(st.floats(0.0, 1.0)), target_decel=draw(st.floats(0.0, 1.0)),
+        target_phase_ticks=draw(st.integers(1, 100)), phase_jitter_ticks=draw(st.integers(0, 20)),
+        seed=draw(st.integers(0, 1000)), undesirability=draw(_unit), ig=draw(_unit),
+        fear_threshold=draw(st.floats(0.0, 0.6)), emotion_records=records,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_run_scenario_is_the_step_loop(config):
+    trace, reference = run_scenario(config), stepped(config)
+    assert trace == reference
+    assert (trace.collision, trace.collision_tick) == (reference.collision, reference.collision_tick)
+    assert trace_to_csv(trace) == trace_to_csv(reference)
+
+
+_CALM, _AFRAID = EmotionInputs(0.0, None, 0.0), EmotionInputs(1.0, 1.0, 1.0)
+_STILL_TARGET = dict(world=WorldConfig(tick_seconds=10.0), target_accel=0.0, target_decel=0.0)
+
+
+def test_a_speculative_collision_is_dropped():
+    # Accelerating from tick 5 would close the gap at tick 6; from tick 5
+    # the records make the gap frightening, so the bullet brakes and never
+    # collides.  (The likelihood comes from the gap, so a window that
+    # stepped past the closed gap would infer it outside its domain.)
+    config = ScenarioConfig(separation=5.0, ticks=20, bullet_accel=2.0, bullet_decel=8.0,
+                            emotion_records=(_CALM,) * 5 + (EmotionInputs(1.0, None, 1.0),),
+                            **_STILL_TARGET)
+    reference = stepped(config)
+    assert not reference.collision
+    assert reference.columns.fear_level[4:6] == (FearLevel.VERY_LOW, FearLevel.VERY_HIGH)
+    assert run_scenario(config) == reference
+
+
+def test_a_collision_right_after_a_plateau_change():
+    # Braking at the floor holds the gap for 30 ticks; tick 30 is calm, and
+    # its acceleration closes the gap at tick 31.
+    config = ScenarioConfig(separation=1.0, ticks=40, bullet_accel=8.0, bullet_decel=0.5,
+                            emotion_records=(_AFRAID,) * 30 + (_CALM,), **_STILL_TARGET)
+    reference = stepped(config)
+    assert reference.collision_tick == 31
+    assert reference.columns.fear_level[29:] == (FearLevel.VERY_HIGH, FearLevel.VERY_LOW)
+    assert run_scenario(config) == reference
+
+
+def test_a_command_change_ends_its_window(monkeypatch):
+    # Calm ticks accelerate and afraid ones brake; tick 10 is the first
+    # afraid one.  Its window keeps it, and the next window starts after it.
+    config = ScenarioConfig(separation=8.0, ticks=20, bullet_accel=0.5, bullet_decel=0.5,
+                            emotion_records=(_CALM,) * 10 + (_AFRAID,), **_STILL_TARGET)
+    distance = stepped(config).columns.distance
+    starts = []
+
+    def recorded(gap, *args):
+        starts.append(distance.index(gap[0]))
+        return fear_plateaus(gap, *args)
+
+    fear_plateaus = sim._fear_plateaus
+    monkeypatch.setattr(sim, "_fear_plateaus", recorded)
+    assert run_scenario(config).columns.distance == distance
+    assert 11 in starts
+    assert 10 not in starts
+
+
+def test_long_runs_with_changes_inside_windows():
+    from importlib import resources
+    from fearsim.configio import load_scenario_config
+
+    replay = load_scenario_config(resources.files("fearsim.data").joinpath(
+        "replay_close_gap_low_speed.cfg").read_text())
+    blocks = (_CALM,) * 70 + (_AFRAID,) * 3 + (_CALM,) * 90 + (_AFRAID,) * 41
+    for config in (replay, ScenarioConfig(separation=8.0, ticks=250, emotion_records=blocks)):
+        reference = stepped(config)
+        display = reference.columns.fear_display
+        assert sum(a != b for a, b in zip(display[64:], display[65:])) >= 2
+        trace = run_scenario(config)
+        assert trace == reference
+        assert trace_to_csv(trace) == trace_to_csv(reference)
+
+
+def test_single_run_batches_its_inference(monkeypatch):
+    from importlib import resources
+    from fearsim.configio import load_scenario_config
+
+    config = load_scenario_config(resources.files("fearsim.data").joinpath(
+        "replay_close_gap_low_speed.cfg").read_text())
+    calls = {"likelihood": 0, "potential": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(RuleBase, "_mamdani_batch", counted("likelihood", RuleBase._mamdani_batch))
+    monkeypatch.setattr(sim, "_additive_batch", counted("potential", sim._additive_batch))
+    for name in ("step", "compute_likelihood", "fear_potential", "classify_level"):
+        monkeypatch.setattr(sim, name, None)
+    trace = run_scenario(config)
+    assert len(trace.columns.tick) == config.ticks == 1200
+    assert 0 < calls["likelihood"] < config.ticks / 10
+    assert 0 < calls["potential"] < config.ticks / 10
 
 
 _floats = st.floats(allow_nan=False)
