@@ -1,9 +1,12 @@
 """Simulator: maneuvers, stepping, scenarios, record import, trace CSV."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fearsim import sim
+from fearsim.configio import load_scenario_config
 from fearsim.emotion import EmotionInputs, FearLevel
 from fearsim.fuzzy import RuleBase
 from fearsim.sight import MPH_TO_FPS
@@ -347,14 +350,14 @@ def test_a_command_change_ends_its_window(monkeypatch):
     assert 10 not in starts
 
 
-def test_long_runs_with_changes_inside_windows():
-    from importlib import resources
-    from fearsim.configio import load_scenario_config
-
-    replay = load_scenario_config(resources.files("fearsim.data").joinpath(
+def shipped_replay():
+    return load_scenario_config(resources.files("fearsim.data").joinpath(
         "replay_close_gap_low_speed.cfg").read_text())
+
+
+def test_long_runs_with_changes_inside_windows():
     blocks = (_CALM,) * 70 + (_AFRAID,) * 3 + (_CALM,) * 90 + (_AFRAID,) * 41
-    for config in (replay, ScenarioConfig(separation=8.0, ticks=250, emotion_records=blocks)):
+    for config in (shipped_replay(), ScenarioConfig(separation=8.0, ticks=250, emotion_records=blocks)):
         reference = stepped(config)
         display = reference.columns.fear_display
         assert sum(a != b for a, b in zip(display[64:], display[65:])) >= 2
@@ -364,11 +367,7 @@ def test_long_runs_with_changes_inside_windows():
 
 
 def test_single_run_batches_its_inference(monkeypatch):
-    from importlib import resources
-    from fearsim.configio import load_scenario_config
-
-    config = load_scenario_config(resources.files("fearsim.data").joinpath(
-        "replay_close_gap_low_speed.cfg").read_text())
+    config = shipped_replay()
     calls = {"likelihood": 0, "potential": 0}
 
     def counted(name, fn):
