@@ -38,6 +38,9 @@ def _speed(text: str) -> float:
         raise ConfigError(f"--speeds: {text.strip()!r} is not a number") from None
     if not math.isfinite(value):
         raise ConfigError(f"--speeds: {text.strip()!r} is not finite")
+    if not math.isfinite(value * value):
+        # The stopping formula squares the speed; both studies share this rule.
+        raise ConfigError(f"--speeds: {text.strip()!r} is out of range")
     return value
 
 
@@ -68,7 +71,13 @@ def _cmd_fuzzy_eval(args) -> int:
         if "=" not in item:
             raise ConfigError(f"--input needs var=value, got {item!r}")
         name, _, raw = item.partition("=")
-        inputs[name.strip()] = float(raw)
+        name = name.strip()
+        if name in inputs:
+            raise ConfigError(f"--input {name}: given more than once")
+        try:
+            inputs[name] = float(raw)
+        except ValueError:
+            raise ConfigError(f"--input {name}: {raw.strip()!r} is not a number") from None
     result = rulebase.evaluate_detailed(inputs)
     suffix = " (degenerate: no rule fired)" if result.degenerate else ""
     print(f"{rulebase.output.name} = {result.value!r}{suffix}")

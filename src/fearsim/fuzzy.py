@@ -1,19 +1,15 @@
 """Mamdani fuzzy inference on triangular membership functions.
 
 The engine is deliberately small: triangular MFs only.  Each rule base
-compiles its rules once; Mamdani inference (min implication, max
-aggregation, centroid) and the additive variant (product, centre-average)
-share one validated fuzzification of the inputs.  That step also picks the
-rules that can fire: a bitmask per (input, term) marks the rules naming
-that term, so ANDing, over the inputs, the masks of the nonzero terms
-(plus the rules that leave the input out) drops every rule with a
-zero-degree antecedent.  Only those candidates are visited, in rule
-order; on the strong partitions of the shipped rule bases that is at most
-4 of 25 and 8 of 125 rules.  Batch evaluators, for many points at once,
-run the same arithmetic over array tables compiled next to the bitmasks
-and give the same values bit for bit.  Rule bases are parsed
-from a line-oriented text format (see :func:`parse_rules`) so the shipped
-rule files stay inspectable and editable without touching code.
+compiles its rules once into array tables: the breakpoints of every input
+term, one row of term indices per rule, and the output terms sampled on a
+grid.  Two batch evaluators run over those tables, many points at once:
+Mamdani inference (min implication, max aggregation, centroid) and the
+additive variant (product, centre-average).  Both share one validated
+fuzzification of the inputs.  A single point goes through the same
+evaluators as a batch of one, so there is one inference path.  Rule bases
+are parsed from a line-oriented text format (see :func:`parse_rules`) so
+the shipped rule files stay inspectable and editable without touching code.
 
 All constructed objects are immutable; evaluation is a pure function and
 safe to call concurrently from multiple threads.
@@ -177,6 +173,7 @@ class InferenceResult:
 class _BatchTables:
     """Array form of a compiled rule base, for the batch evaluators."""
 
+    names: tuple                    # input variable names, in input order
     domain_lo: np.ndarray           # input domains, (n_inputs, 1) each
     domain_hi: np.ndarray
     term_input: np.ndarray          # input position of each stacked term
@@ -208,13 +205,8 @@ class RuleBase:
         input_terms = [{t: k for k, (t, _) in enumerate(v.terms)} for v in self.inputs]
         output_index = {t: k for k, (t, _) in enumerate(self.output.terms)}
         # Each rule compiles to ((input position, term index), ...) plus the
-        # consequent term index, so evaluation never looks up a name.  Bit i
-        # of term_rules[p][k] marks rule i as naming term k of input p; bit i
-        # of free[p] marks rule i as not mentioning input p at all.
+        # consequent term index, so the tables below never look up a name.
         compiled = []
-        all_rules = (1 << len(self.rules)) - 1
-        term_rules = [[0] * len(v.terms) for v in self.inputs]
-        free = [all_rules] * len(self.inputs)
         seen: dict[tuple, int] = {}
         for i, rule in enumerate(self.rules):
             antecedents = []
@@ -224,10 +216,7 @@ class RuleBase:
                 p = position[var]
                 if term not in input_terms[p]:
                     raise ValueError(f"rule {i + 1}: unknown term {var}.{term}")
-                k = input_terms[p][term]
-                antecedents.append((p, k))
-                term_rules[p][k] |= 1 << i
-                free[p] &= ~(1 << i)
+                antecedents.append((p, input_terms[p][term]))
             cvar, cterm = rule.consequent
             if cvar != self.output.name:
                 raise ValueError(f"rule {i + 1}: consequent variable must be {self.output.name!r}")
@@ -238,14 +227,6 @@ class RuleBase:
                 raise ValueError(f"rule {i + 1}: duplicate antecedent set (same as rule {seen[key]})")
             seen[key] = i + 1
             compiled.append((tuple(antecedents), output_index[cterm]))
-        # Per input: its name, domain, (left, peak, right) per term with the
-        # term's rule mask, and the mask of rules free of that input.
-        fuzzifiers = tuple(
-            (v.name, *v.domain,
-             tuple(((mf.left, mf.peak, mf.right), rules) for (_, mf), rules in zip(v.terms, masks)),
-             free_p)
-            for v, masks, free_p in zip(self.inputs, term_rules, free)
-        )
         # Sampling grid and per-term output samples are pure functions of the
         # immutable fields; precompute once so evaluation stays cheap.  A
         # term without mass on the grid has no centroid, so it is refused.
@@ -257,9 +238,6 @@ class RuleBase:
             if mass == 0.0:
                 raise _MasslessTermError(self.output.name, token)
         centroids = (term_rows * grid).sum(axis=1) / masses
-        object.__setattr__(self, "_compiled", tuple(compiled))
-        object.__setattr__(self, "_fuzzifiers", fuzzifiers)
-        object.__setattr__(self, "_all_rules", all_rules)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_term_rows", term_rows)
         object.__setattr__(self, "_term_centroid", tuple(float(c) for c in centroids))
@@ -283,6 +261,7 @@ class RuleBase:
         nonzero = [np.flatnonzero(row) for row in term_rows]
         domains = np.array([v.domain for v in self.inputs], dtype=float)
         object.__setattr__(self, "_batch", _BatchTables(
+            names=tuple(position),
             domain_lo=domains[:, :1],
             domain_hi=domains[:, 1:],
             term_input=np.repeat(np.arange(len(self.inputs)), np.diff(first_row)),
@@ -299,78 +278,16 @@ class RuleBase:
             rule_centroid=np.array(self._term_centroid)[consequents][:, None],
         ))
 
-    def _fire(self, inputs: dict[str, float]) -> tuple[list[list[float]], list[tuple]]:
-        """Fuzzify ``inputs``; return the degrees and the rules that can fire.
-
-        The one validation path for both inference variants: ``inputs``
-        must carry exactly one value per input variable, inside its domain.
-        Degrees come per input variable, one per term.  A rule can fire only
-        if, for every input it names, one of the terms it names there has a
-        nonzero degree; every other rule has strength 0 under both min and
-        product, so leaving it out changes no result.  The rules that can
-        fire come back compiled, in rule order.
-        """
-        unknown = set(inputs) - {v.name for v in self.inputs}
-        if unknown:
-            raise ValueError(f"unexpected input variables: {sorted(unknown)}")
-        memberships = []
-        mask = self._all_rules
-        for name, lo, hi, terms, allowed in self._fuzzifiers:
-            if name not in inputs:
-                raise ValueError(f"missing input variable {name!r}")
-            x = float(inputs[name])
-            if not lo <= x <= hi:
-                raise ValueError(f"{name}={x} outside domain [{lo}, {hi}]")
-            degrees = []
-            for (left, peak, right), rules in terms:
-                # eval_trimf inlined, with the same expressions.
-                if x == peak:
-                    degree = 1.0
-                elif x <= left or x >= right:
-                    degree = 0.0
-                elif x < peak:
-                    degree = (x - left) / (peak - left)
-                else:
-                    degree = (right - x) / (right - peak)
-                degrees.append(degree)
-                if degree:
-                    allowed |= rules
-            memberships.append(degrees)
-            mask &= allowed
-        compiled = self._compiled
-        fired = []
-        while mask:
-            lowest = mask & -mask
-            fired.append(compiled[lowest.bit_length() - 1])
-            mask ^= lowest
-        return memberships, fired
-
     def evaluate_detailed(self, inputs: dict[str, float]) -> InferenceResult:
         """Run fuzzification / min-implication / max-aggregation / centroid.
 
         ``inputs`` must carry exactly one crisp value per input variable,
         inside that variable's domain.  When no rule fires the result is
-        the midpoint of the output domain, flagged degenerate.
+        the midpoint of the output domain, flagged degenerate.  The point
+        goes through ``_mamdani_batch`` as a batch of one.
         """
-        memberships, fired = self._fire(inputs)
-
-        # Strongest firing strength per consequent term; max-aggregation of
-        # clipped identical terms collapses to a single clip at the max.
-        strongest = [0.0] * len(self.output.terms)
-        for antecedents, consequent in fired:
-            strength = min(memberships[p][k] for p, k in antecedents)
-            if strength > strongest[consequent]:
-                strongest[consequent] = strength
-
-        lo, hi = self.output.domain
-        if not any(strongest):
-            return InferenceResult(value=(lo + hi) / 2.0, degenerate=True)
-
-        aggregate = np.zeros(_RESOLUTION)
-        for row, strength in zip(self._term_rows, strongest):
-            if strength > 0.0:
-                np.maximum(aggregate, np.minimum(row, strength), out=aggregate)
-        return InferenceResult(value=_centroid(self._grid, aggregate), degenerate=False)
+        value, fired = self._mamdani_batch({name: (x,) for name, x in inputs.items()})
+        return InferenceResult(value=value.item(), degenerate=not fired.item())
 
     def evaluate(self, inputs: dict[str, float]) -> float:
         return self.evaluate_detailed(inputs).value
@@ -378,18 +295,25 @@ class RuleBase:
     def _degrees_batch(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
         """Degrees of every input term for a batch of points, one column each.
 
-        ``inputs`` maps each input variable to an array of values, checked
-        against the domain as in ``_fire``.  Row ``n_terms`` is all ones.
-        The expressions are ``eval_trimf``'s, so each degree equals the
-        scalar one bit for bit.
+        The one validation path of every evaluator: ``inputs`` must map
+        exactly the input variables to arrays of values inside their
+        domains.  Row ``n_terms`` is all ones.  The expressions are
+        ``eval_trimf``'s, so each degree equals its scalar value bit for bit.
         """
         t = self._batch
-        x = np.array([inputs[name] for name, *_ in self._fuzzifiers], dtype=float)
+        if inputs.keys() != set(t.names):
+            unknown = set(inputs) - set(t.names)
+            if unknown:
+                raise ValueError(f"unexpected input variables: {sorted(unknown)}")
+            missing = next(name for name in t.names if name not in inputs)
+            raise ValueError(f"missing input variable {missing!r}")
+        x = np.array([inputs[name] for name in t.names], dtype=float)
         if not ((x >= t.domain_lo) & (x <= t.domain_hi)).all():
-            for (name, lo, hi, _, _), values in zip(self._fuzzifiers, x):
+            for v, values in zip(self.inputs, x):
+                lo, hi = v.domain
                 for value in values.tolist():
                     if not lo <= value <= hi:
-                        raise ValueError(f"{name}={value} outside domain [{lo}, {hi}]")
+                        raise ValueError(f"{v.name}={value} outside domain [{lo}, {hi}]")
         x = x[t.term_input]
         degrees = np.empty((len(x) + 1, x.shape[1]))
         degrees[-1] = 1.0
@@ -399,14 +323,15 @@ class RuleBase:
         body[x == t.peak] = 1.0
         return degrees
 
-    def _mamdani_batch(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
-        """``evaluate`` over a batch of points; equal to it bit for bit.
+    def _mamdani_batch(self, inputs: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Mamdani inference over a batch of points: values and "some rule fired".
 
         The strongest firing per consequent is a max over all rules of the
         min over their antecedents (rules that cannot fire add 0).  Each
         term is clipped and aggregated only on its nonzero columns, and the
         centroid sums run along contiguous rows of the (points, grid)
-        aggregate, the same pairwise sums numpy takes for a single point.
+        aggregate.  A point where no rule fired gets the midpoint of the
+        output domain.
         """
         t = self._batch
         degrees = self._degrees_batch(inputs)
@@ -424,8 +349,9 @@ class RuleBase:
         moment = np.multiply(aggregate, self._grid, out=aggregate).sum(axis=1)
         lo, hi = self.output.domain
         value = np.full(degrees.shape[1], (lo + hi) / 2.0)
-        np.divide(moment, total, out=value, where=strongest.any(axis=0))
-        return value
+        fired = strongest.any(axis=0)
+        np.divide(moment, total, out=value, where=fired)
+        return value, fired
 
 
 def evaluate_additive(rulebase: RuleBase, inputs: dict[str, float]) -> float:
@@ -437,30 +363,14 @@ def evaluate_additive(rulebase: RuleBase, inputs: dict[str, float]) -> float:
     so it is monotone whenever the rule table is monotone; clip/max
     inference is not (a middle consequent can fade against the strength
     cap without handing its mass to a neighbour).  The fear combination
-    stage evaluates through this path.
+    stage evaluates through this path.  The point goes through
+    ``_additive_batch`` as a batch of one.
     """
-    memberships, fired = rulebase._fire(inputs)
-    centroids = rulebase._term_centroid
-    total_weight = 0.0
-    total_moment = 0.0
-    for antecedents, consequent in fired:
-        w = 1.0
-        for p, k in antecedents:
-            w *= memberships[p][k]
-            if w == 0.0:
-                break
-        if w == 0.0:
-            continue
-        total_weight += w
-        total_moment += w * centroids[consequent]
-    lo, hi = rulebase.output.domain
-    if total_weight == 0.0:
-        return (lo + hi) / 2.0
-    return total_moment / total_weight
+    return _additive_batch(rulebase, {name: (x,) for name, x in inputs.items()}).item()
 
 
 def _additive_batch(rulebase: RuleBase, inputs: dict[str, np.ndarray]) -> np.ndarray:
-    """``evaluate_additive`` over a batch of points; equal to it bit for bit.
+    """Additive inference (``evaluate_additive``) over a batch of points.
 
     Weights are products in antecedent order; weights and moments are
     summed in rule order (a cumulative sum, never a pairwise one), where
@@ -479,17 +389,12 @@ def _additive_batch(rulebase: RuleBase, inputs: dict[str, np.ndarray]) -> np.nda
     return value
 
 
-def _centroid(grid: np.ndarray, samples: np.ndarray) -> float:
-    """Centroid sum(x*mu)/sum(mu) of ``samples`` taken on ``grid``."""
-    total = float(samples.sum())
-    if total == 0.0:
-        raise DegenerateSetError("cannot defuzzify an all-zero set")
-    return float((grid * samples).sum() / total)
-
-
 def defuzzify_centroid(fs: FuzzySet) -> float:
     """Centroid sum(x*mu)/sum(mu) over the sample grid."""
-    return _centroid(fs.grid, fs.samples)
+    total = float(fs.samples.sum())
+    if total == 0.0:
+        raise DegenerateSetError("cannot defuzzify an all-zero set")
+    return float((fs.grid * fs.samples).sum() / total)
 
 
 # ---------------------------------------------------------------------------

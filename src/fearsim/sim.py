@@ -62,7 +62,6 @@ __all__ = [
     "TickRecord",
     "Trace",
     "CollisionError",
-    "decide_maneuver",
     "step",
     "run_scenario",
     "run_lockstep",
@@ -242,16 +241,6 @@ def _speed_command(sign: int, accel: float, decel: float) -> float:
     if sign < 0:
         return -decel
     return accel if sign > 0 else 0.0
-
-
-def decide_maneuver(level: FearLevel, state: VehicleState, world: WorldConfig) -> float:
-    """Signed speed change (mph per tick) for the bullet at this fear level.
-
-    High fear brakes, low fear accelerates, medium holds; the command is
-    pre-clamped so applying it never leaves [min, max] velocity.
-    """
-    command = _speed_command(_COMMAND_SIGN[level], state.accel, state.decel)
-    return _clamp_speed(state.speed + command, world) - state.speed
 
 
 def _target_sign(config: ScenarioConfig, tick: int) -> int:
@@ -462,11 +451,11 @@ def _fear_plateaus(gap: np.ndarray, speed: np.ndarray, span, max_velocity,
     if missing.any():
         inputs = {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity}
         if missing.all():
-            likelihood = likelihood_rulebase()._mamdani_batch(inputs)
+            likelihood = likelihood_rulebase()._mamdani_batch(inputs)[0]
         else:
             likelihood = likelihood.copy()
             likelihood[missing] = likelihood_rulebase()._mamdani_batch(
-                {name: value[missing] for name, value in inputs.items()})
+                {name: value[missing] for name, value in inputs.items()})[0]
     potential = _additive_batch(fear_rulebase(), {
         "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
     })

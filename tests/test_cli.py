@@ -163,6 +163,8 @@ def test_compare_osd_custom_calibration(tmp_path, data_file):
     ("30,inf", "'inf' is not finite"),
     ("10:inf:3", "'inf' is not finite"),
     ("30,x", "'x' is not a number"),
+    ("30,1e200", "'1e200' is out of range"),
+    ("10:1e200:3", "'1e200' is out of range"),
 ])
 def test_compare_rejects_bad_speeds(tmp_path, capsys, command, speeds, bad):
     out = tmp_path / "table.csv"
@@ -184,6 +186,20 @@ def test_fuzzy_eval_bad_input_is_config_error(data_file, capsys):
     code = main(["fuzzy-eval", "--rules", data_file("likelihood.rules"),
                  "--input", "distance=2.0", "--input", "speed=0.5"])
     assert code == 1
+
+
+def test_fuzzy_eval_non_number_input_names_the_flag(data_file, capsys):
+    code = main(["fuzzy-eval", "--rules", data_file("likelihood.rules"),
+                 "--input", "distance=abc", "--input", "speed=0.5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --input distance: 'abc' is not a number\n"
+
+
+def test_fuzzy_eval_rejects_a_repeated_input(data_file, capsys):
+    code = main(["fuzzy-eval", "--rules", data_file("likelihood.rules"),
+                 "--input", "distance=0.3", "--input", "distance=0.9", "--input", "speed=0.5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --input distance: given more than once\n"
 
 
 def test_fuzzy_eval_massless_output_term_exits_1(tmp_path, data_file, capsys):

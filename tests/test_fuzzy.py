@@ -291,14 +291,28 @@ def _toy_rulebase():
     return parse_rules(SMALL_DOC)
 
 
-def test_evaluate_requires_every_input():
-    with pytest.raises(ValueError, match="missing input"):
-        _toy_rulebase().evaluate({})
+# Every entry point into inference, called on one point.
+_ENTRY_POINTS = pytest.mark.parametrize("infer", [
+    lambda rb, inputs: rb.evaluate(inputs),
+    evaluate_additive,
+    lambda rb, inputs: rb._mamdani_batch({name: np.array([x]) for name, x in inputs.items()}),
+], ids=["evaluate", "evaluate_additive", "mamdani_batch"])
 
 
-def test_evaluate_rejects_out_of_domain():
-    with pytest.raises(ValueError, match="outside domain"):
-        _toy_rulebase().evaluate({"x": 1.4})
+@_ENTRY_POINTS
+def test_evaluate_requires_every_input(infer):
+    with pytest.raises(ValueError, match=r"^missing input variable 'x'$"):
+        infer(_toy_rulebase(), {})
+    with pytest.raises(ValueError, match=r"^unexpected input variables: \['zz'\]$"):
+        infer(_toy_rulebase(), {"x": 0.5, "zz": 0.1})
+
+
+@_ENTRY_POINTS
+def test_evaluate_rejects_out_of_domain(infer):
+    with pytest.raises(ValueError, match=r"^x=1\.4 outside domain \[0\.0, 1\.0\]$"):
+        infer(_toy_rulebase(), {"x": 1.4})
+    with pytest.raises(ValueError, match=r"^x=nan outside domain \[0\.0, 1\.0\]$"):
+        infer(_toy_rulebase(), {"x": float("nan")})
 
 
 def test_evaluate_rejects_unknown_input():
@@ -366,15 +380,15 @@ def test_evaluate_stays_in_output_domain(x):
 
 
 # ---------------------------------------------------------------------------
-# candidate filtering against a full rule scan
+# single points against a full rule scan
 # ---------------------------------------------------------------------------
 
 def full_scan(rb, inputs):
     """Reference inference that visits every rule in order, by name.
 
-    This is the scan ``RuleBase`` ran before it learned to skip rules that
-    cannot fire: the same min/max/centroid and product/centre-average
-    arithmetic, with no filtering.  Returns (Mamdani result, additive value).
+    One point in plain Python floats: the min/max/centroid and
+    product/centre-average arithmetic the batch evaluators must reproduce
+    bit for bit.  Returns (Mamdani result, additive value).
     """
     degrees = {v.name: {t: eval_trimf(mf, float(inputs[v.name])) for t, mf in v.terms}
                for v in rb.inputs}
@@ -501,29 +515,22 @@ def test_shipped_fear_rules_match_full_scan(undesirability, likelihood, ig):
     })
 
 
-@settings(max_examples=100)
-@given(_shipped_inputs, _shipped_inputs, _shipped_inputs)
-def test_strong_partitions_visit_few_rules(a, b, c):
-    # Two nonzero terms per input at most: 4 of 25 and 8 of 125 rules.
-    _, fired = likelihood_rulebase()._fire({"distance": a, "speed": b})
-    assert 1 <= len(fired) <= 4
-    _, fired = fear_rulebase()._fire({"undesirability": a, "likelihood": b, "ig": c})
-    assert 1 <= len(fired) <= 8
-
-
 # ---------------------------------------------------------------------------
-# batch evaluators against the scalar ones
+# batch evaluators against the full rule scan
 # ---------------------------------------------------------------------------
 
-def assert_batch_matches_scalar(rb, points):
+def assert_batch_matches_full_scan(rb, points):
     """The whole batch, and each point as a batch of one (numpy may sum a
-    single column in another order than several), give the scalar values."""
+    single column in another order than several), give the full scan's
+    values, and flag as fired exactly the points it finds not degenerate."""
     for batch in (points, *([p] for p in points)):
         columns = {v.name: np.array([p[v.name] for p in batch]) for v in rb.inputs}
-        assert [repr(x) for x in rb._mamdani_batch(columns).tolist()] == \
-            [repr(rb.evaluate(p)) for p in batch]
+        scans = [full_scan(rb, p) for p in batch]
+        values, fired = rb._mamdani_batch(columns)
+        assert [repr(x) for x in values.tolist()] == [repr(m.value) for m, _ in scans]
+        assert fired.tolist() == [not m.degenerate for m, _ in scans]
         assert [repr(x) for x in _additive_batch(rb, columns).tolist()] == \
-            [repr(evaluate_additive(rb, p)) for p in batch]
+            [repr(additive) for _, additive in scans]
 
 
 @settings(max_examples=100, deadline=None)
@@ -531,15 +538,15 @@ def assert_batch_matches_scalar(rb, points):
 def test_drawn_rulebases_batch_matches_scalar(rb, data):
     points = data.draw(st.lists(st.fixed_dictionaries({v.name: _unit_inputs for v in rb.inputs}),
                                 min_size=1, max_size=12))
-    assert_batch_matches_scalar(rb, points)
+    assert_batch_matches_full_scan(rb, points)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(*[_shipped_inputs] * 3), min_size=1, max_size=40))
 def test_shipped_rules_batch_matches_scalar(triples):
-    assert_batch_matches_scalar(likelihood_rulebase(),
-                                [{"distance": a, "speed": b} for a, b, _ in triples])
-    assert_batch_matches_scalar(fear_rulebase(), [
+    assert_batch_matches_full_scan(likelihood_rulebase(),
+                                   [{"distance": a, "speed": b} for a, b, _ in triples])
+    assert_batch_matches_full_scan(fear_rulebase(), [
         {"undesirability": a, "likelihood": b, "ig": c} for a, b, c in triples])
 
 

@@ -17,7 +17,9 @@ from fearsim.sim import (
     Trace,
     VehicleState,
     WorldConfig,
-    decide_maneuver,
+    _COMMAND_SIGN,
+    _kinematics,
+    _speed_command,
     import_simconnector,
     initial_states,
     run_lockstep,
@@ -34,34 +36,41 @@ def bullet_at(speed, accel=0.06, decel=0.03):
     return VehicleState(0.0, speed, accel, decel)
 
 
+def speed_change(level, bullet, world=WORLD):
+    """The bullet's speed change over one tick at this fear level, made as ``step`` makes it."""
+    command = _speed_command(_COMMAND_SIGN[level], bullet.accel, bullet.decel)
+    _, speed, _, _ = _kinematics(world, (bullet.position, bullet.speed, 0.0, bullet.speed), command, 0.0)
+    return speed - bullet.speed
+
+
 # ---------------------------------------------------------------------------
 # maneuver selection
 # ---------------------------------------------------------------------------
 
 def test_high_fear_brakes():
-    assert decide_maneuver(FearLevel.HIGH, bullet_at(10.5, decel=0.03), WORLD) == pytest.approx(-0.03)
+    assert speed_change(FearLevel.HIGH, bullet_at(10.5, decel=0.03)) == pytest.approx(-0.03)
 
 
 def test_very_low_fear_accelerates():
-    assert decide_maneuver(FearLevel.VERY_LOW, bullet_at(10), WORLD) == pytest.approx(0.06)
+    assert speed_change(FearLevel.VERY_LOW, bullet_at(10)) == pytest.approx(0.06)
 
 
 def test_acceleration_clamps_at_max():
-    assert decide_maneuver(FearLevel.VERY_LOW, bullet_at(100.0), WORLD) == 0.0
+    assert speed_change(FearLevel.VERY_LOW, bullet_at(100.0)) == 0.0
 
 
 def test_braking_clamps_at_min():
-    assert decide_maneuver(FearLevel.VERY_HIGH, bullet_at(10.0), WORLD) == 0.0
+    assert speed_change(FearLevel.VERY_HIGH, bullet_at(10.0)) == 0.0
 
 
 def test_medium_fear_holds():
-    assert decide_maneuver(FearLevel.MEDIUM, bullet_at(50), WORLD) == 0.0
+    assert speed_change(FearLevel.MEDIUM, bullet_at(50)) == 0.0
 
 
 def test_braking_unclamped_when_floor_below_speed():
     # with no velocity floor in the way the command is the raw rate
     free_world = WorldConfig(min_velocity=0.0)
-    assert decide_maneuver(FearLevel.HIGH, bullet_at(10.0, decel=0.03), free_world) == pytest.approx(-0.03)
+    assert speed_change(FearLevel.HIGH, bullet_at(10.0, decel=0.03), free_world) == pytest.approx(-0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +111,7 @@ def test_acceleration_adds_rate_each_tick():
 def test_deceleration_inverts_acceleration():
     config = ScenarioConfig(separation=1.0)
     state = bullet_at(10.06, decel=0.06)
-    cmd = decide_maneuver(FearLevel.HIGH, state, config.world)
-    assert state.speed + cmd == pytest.approx(10.0)
+    assert state.speed + speed_change(FearLevel.HIGH, state, config.world) == pytest.approx(10.0)
 
 
 def test_records_snapshot_pre_step_state():
