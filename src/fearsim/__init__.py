@@ -23,7 +23,7 @@ from .fuzzy import (
 )
 from .monitors import InvariantReport, Verdict, check_comparison_invariants, check_trace_invariants
 from .sight import OsdParams, ReactionProfile, SsdParams, overtaking_sight_distance, stopping_sight_distance, to_sim_units
-from .sim import ScenarioConfig, TickRecord, Trace, VehicleState, WorldConfig, import_simconnector, run_scenario
+from .sim import ScenarioConfig, TickRecord, Trace, WorldConfig, import_simconnector, run_scenario
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,7 @@ __all__ = [
     "check_comparison_invariants", "check_trace_invariants",
     "OsdParams", "ReactionProfile", "SsdParams",
     "overtaking_sight_distance", "stopping_sight_distance", "to_sim_units",
-    "ScenarioConfig", "TickRecord", "Trace", "VehicleState", "WorldConfig",
+    "ScenarioConfig", "TickRecord", "Trace", "WorldConfig",
     "import_simconnector", "run_scenario",
     "__version__",
 ]

@@ -31,6 +31,11 @@ def _read(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
+# The fastest speed either study takes, in mph.  The measured stopping
+# distance sizes its Euler arrays by the speed: about 131k steps here.
+_MAX_SPEED = 1000.0
+
+
 def _speed(text: str) -> float:
     try:
         value = float(text)
@@ -38,9 +43,15 @@ def _speed(text: str) -> float:
         raise ConfigError(f"--speeds: {text.strip()!r} is not a number") from None
     if not math.isfinite(value):
         raise ConfigError(f"--speeds: {text.strip()!r} is not finite")
-    if not math.isfinite(value * value):
-        # The stopping formula squares the speed; both studies share this rule.
+    if abs(value) > _MAX_SPEED:
         raise ConfigError(f"--speeds: {text.strip()!r} is out of range")
+    return value
+
+
+def _very_small_gap(value: float) -> float:
+    """The Inv1A arming gap; nan or a gap of 0 or less would never arm it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"--very-small-gap: {value!r} is not a finite gap above 0")
     return value
 
 
@@ -105,7 +116,7 @@ def _cmd_sweep(args) -> int:
     rows, settings = load_sweep_rows(_read(args.config), source=args.config)
     spec = experiments.SweepSpec(rows=tuple(rows), repetitions=settings["repetitions"],
                                  ticks=settings["ticks"], base_seed=settings["base_seed"])
-    dataset = experiments.run_sweep(spec, very_small_gap=args.very_small_gap)
+    dataset = experiments.run_sweep(spec, very_small_gap=_very_small_gap(args.very_small_gap))
     experiments.write_sweep_dir(dataset, args.out_dir)
     verdicts = [rep for run in dataset.runs for rep in run.reports]
     violated = sum(1 for rep in verdicts if not rep.ok)
@@ -121,7 +132,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     trace = trace_from_csv(_read(args.trace))
-    reports = monitors.check_trace_invariants(trace, args.very_small_gap)
+    reports = monitors.check_trace_invariants(trace, _very_small_gap(args.very_small_gap))
     print(monitors.summarize_reports(reports))
     if args.out:
         atomic_write(args.out, monitors.reports_to_csv(reports))
@@ -196,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("compare-ssd", help="stopping-distance comparison study")
-    p.add_argument("--speeds", default="15:50:12", help="lo:hi:count or comma list (mph)")
+    p.add_argument("--speeds", default="15:50:12", help="lo:hi:count or comma list (mph, at most 1000)")
     p.add_argument("--out", required=True)
     p.add_argument("--plot")
     p.set_defaults(func=_cmd_compare_ssd)
 
     p = sub.add_parser("compare-osd", help="overtaking-distance comparison study")
-    p.add_argument("--speeds", default="25:50:7", help="lo:hi:count or comma list (mph)")
+    p.add_argument("--speeds", default="25:50:7", help="lo:hi:count or comma list (mph, at most 1000)")
     p.add_argument("--calibration", help="override the shipped calibration document")
     p.add_argument("--out", required=True)
     p.add_argument("--plot")

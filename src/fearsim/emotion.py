@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -157,11 +156,12 @@ def classify_level(intensity: float) -> tuple[FearLevel, int]:
     """Quantize an intensity in [0, 1] onto (level, display).
 
     The display is the plateau nearest to 100*intensity (ties resolve to
-    the higher plateau); the level follows from the plateau.
+    the higher plateau); the level follows from the plateau.  This is
+    ``_plateau_indices`` of one point at threshold 0.
     """
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity={intensity} outside [0, 1]")
-    return _PLATEAUS[bisect_right(_MIDPOINTS, 100.0 * intensity)]
+    return _PLATEAUS[_plateau_indices(np.array([intensity]), 0.0)[0]]
 
 
 def _plateau_indices(potential: np.ndarray, threshold: np.ndarray) -> np.ndarray:

@@ -168,8 +168,7 @@ def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMA
             row_index=row_index,
             repetition=repetition,
             seed=config.seed,
-            trace=Trace(config, collision=trace.collision, collision_tick=trace.collision_tick,
-                        columns=trace.columns),
+            trace=replace(trace, config=config),
             mean_display=mean_display,
             min_gap=min_gap,
             reports=reports,

@@ -11,12 +11,13 @@ speeds in mph.
 Runs are deterministic: the only randomness is an optional seeded jitter
 of the target's schedule phase, used by sweep repetitions.
 
-``step`` advances one run by one tick and is the reference; both runners
-give its traces byte for byte.  ``run_scenario`` (one run, ``fearsim
-simulate``) infers the fear of a window of ticks per batch, up to the first
-change of the bullet's command.  ``run_lockstep`` (sweeps) advances many
-runs together, one tick at a time, with one array entry per live run:
-controller runs change command every few ticks, so windows would not pay.
+``step`` advances one run by one tick, on a tuple of both positions and
+speeds, and is the reference; both runners give its traces byte for byte.
+``run_scenario`` (one run, ``fearsim simulate``) infers the fear of a
+window of ticks per batch, up to the first change of the bullet's command.
+``run_lockstep`` (sweeps) advances many runs together, one tick at a time,
+with one array entry per live run: controller runs change command every
+few ticks, so windows would not pay.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from __future__ import annotations
 import io
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .sight import (
 
 __all__ = [
     "WorldConfig",
-    "VehicleState",
     "ScenarioConfig",
     "TickRecord",
     "Trace",
@@ -107,14 +106,6 @@ class WorldConfig:
     @property
     def span(self) -> float:
         return self.extent[1] - self.extent[0]
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    position: float                     # sim units along the lane
-    speed: float                        # mph
-    accel: float                        # mph gained per accelerating tick
-    decel: float                        # mph shed per decelerating tick
 
 
 @dataclass(frozen=True)
@@ -174,44 +165,25 @@ def _phase_offset(seed: int, jitter_ticks: int) -> int:
     return random.Random(seed).randrange(jitter_ticks + 1)
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    tick: int
-    ssd: float                          # required sight distance, sim units
-    distance: float                     # gap, sim units
-    fear_display: int
-    fear_level: FearLevel
-    bullet_speed: float
-    target_speed: float
-
-
+# One tick of a run: the required sight distance and the gap in sim units,
+# the fear display and level, and both speeds in mph.
+TickRecord = namedtuple("TickRecord",
+                        "tick ssd distance fear_display fear_level bullet_speed target_speed")
 # A trace's ticks as one tuple per ``TickRecord`` field.
-TraceColumns = namedtuple("TraceColumns", [f.name for f in fields(TickRecord)])
+TraceColumns = namedtuple("TraceColumns", TickRecord._fields)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Trace:
     """One run: its config, its ticks as columns and how it ended.
 
-    Built from ``records`` (the scalar runs, CSV files, tests) or from
-    ``columns`` (lock-step runs); ``records`` is built from the columns on
-    first use and kept.  Traces compare by config, columns and collision,
-    whichever form they were built from.
+    ``records`` is built from the columns on first use and kept.
     """
 
     config: ScenarioConfig
     columns: TraceColumns
     collision: bool = False
     collision_tick: int | None = None
-
-    def __init__(self, config: ScenarioConfig, records=(), collision: bool = False,
-                 collision_tick: int | None = None, *, columns: TraceColumns | None = None):
-        if columns is None:
-            records = self.__dict__["records"] = tuple(records)
-            columns = TraceColumns._make(tuple(map(attrgetter(name), records))
-                                         for name in TraceColumns._fields)
-        self.__dict__.update(config=config, columns=columns, collision=collision,
-                             collision_tick=collision_tick)
 
     @cached_property
     def records(self) -> tuple[TickRecord, ...]:
@@ -279,20 +251,22 @@ def _required_sight_distance(config: ScenarioConfig, speed_mph: float) -> float:
     return feet / config.world.patch_scale
 
 
-def step(config: ScenarioConfig, bullet: VehicleState, target: VehicleState,
-         tick: int) -> tuple[VehicleState, VehicleState, TickRecord]:
-    """Advance one tick; returns new states plus the record for this tick.
+def step(config: ScenarioConfig, state: tuple, tick: int) -> tuple[tuple, TickRecord]:
+    """Advance one tick; returns the new state plus the record for this tick.
 
+    ``state`` is (bullet position, bullet speed, target position, target
+    speed), as ``_kinematics`` takes it; the rates come from ``config``.
     Order per tick: sense gap, compute required sight distance, compute
     likelihood, run the fear pipeline, apply maneuvers, advance positions.
     Raises CollisionError when the gap is no longer positive.
     """
     world = config.world
-    gap = target.position - bullet.position
+    bullet_position, bullet_speed, target_position, target_speed = state
+    gap = target_position - bullet_position
     if gap <= 0:
         raise CollisionError(tick, gap)
 
-    ssd = _required_sight_distance(config, bullet.speed)
+    ssd = _required_sight_distance(config, bullet_speed)
 
     override = None
     if config.emotion_records:
@@ -303,45 +277,20 @@ def step(config: ScenarioConfig, bullet: VehicleState, target: VehicleState,
         likelihood = override.likelihood
     else:
         likelihood = compute_likelihood(
-            min(gap / world.span, 1.0), bullet.speed / world.max_velocity
+            min(gap / world.span, 1.0), bullet_speed / world.max_velocity
         )
     potential = fear_potential(EmotionInputs(undesirability, likelihood, ig))
     intensity = fear_intensity(potential, config.fear_threshold)
     level, display = classify_level(intensity)
 
-    record = TickRecord(
-        tick=tick,
-        ssd=ssd,
-        distance=gap,
-        fear_display=display,
-        fear_level=level,
-        bullet_speed=bullet.speed,
-        target_speed=target.speed,
-    )
+    record = TickRecord(tick, ssd, gap, display, level, bullet_speed, target_speed)
 
     # Without the fear controller the bullet keeps accelerating.
     sign = _COMMAND_SIGN[level] if config.eeec_agent_enabled else 1
-    bullet_position, bullet_speed, target_position, target_speed = _kinematics(
-        world, (bullet.position, bullet.speed, target.position, target.speed),
-        _speed_command(sign, bullet.accel, bullet.decel),
-        _speed_command(_target_sign(config, tick), target.accel, target.decel))
-    new_bullet = VehicleState(bullet_position, bullet_speed, bullet.accel, bullet.decel)
-    new_target = VehicleState(target_position, target_speed, target.accel, target.decel)
-    return new_bullet, new_target, record
-
-
-def initial_states(config: ScenarioConfig) -> tuple[VehicleState, VehicleState]:
-    # Speeds are floats from the first tick, even for an integer floor.
-    speed = float(config.world.min_velocity)
-    bullet = VehicleState(
-        position=0.0, speed=speed,
-        accel=config.bullet_accel, decel=config.bullet_decel,
-    )
-    target = VehicleState(
-        position=config.separation, speed=speed,
-        accel=config.target_accel, decel=config.target_decel,
-    )
-    return bullet, target
+    state = _kinematics(
+        world, state, _speed_command(sign, config.bullet_accel, config.bullet_decel),
+        _speed_command(_target_sign(config, tick), config.target_accel, config.target_decel))
+    return state, record
 
 
 # Most ticks one window of ``run_scenario`` steps ahead.  A window without
@@ -356,21 +305,23 @@ _WINDOW = 64
 def run_scenario(config: ScenarioConfig) -> Trace:
     """Run a scenario to completion; deterministic for a given config.
 
-    Equal to calling ``step`` from ``initial_states`` until the ticks run
-    out or a collision.  The plateau reaches the kinematics only through
-    the bullet's command sign, so the kinematics run a window of ticks
-    ahead as if the last kept tick's sign held, stopping before a closed
-    gap, and the window's fear inference is one batch.  The ticks up to
-    and including the first one whose sign differs are kept, and the next
-    state is stepped from that tick under its own sign, so every kept tick
-    is the one ``step`` gives.  The speculative ticks past it are dropped.
+    Equal to calling ``step`` from (0, floor speed, separation, floor
+    speed) until the ticks run out or a collision.  The plateau reaches
+    the kinematics only through the bullet's command sign, so the
+    kinematics run a window of ticks ahead as if the last kept tick's sign
+    held, stopping before a closed gap, and the window's fear inference is
+    one batch.  The ticks up to and including the first one whose sign
+    differs are kept, and the next state is stepped from that tick under
+    its own sign, so every kept tick is the one ``step`` gives.  The
+    speculative ticks past it are dropped.
     """
     world = config.world
     appraisal = _appraisal_table([config], config.ticks)[:, :, 0]
     # Without the fear controller the bullet keeps accelerating.
     signs = _PLATEAU_SIGN if config.eeec_agent_enabled else np.ones_like(_PLATEAU_SIGN)
-    bullet, target = initial_states(config)
-    state = bullet.position, bullet.speed, target.position, target.speed
+    # Speeds are floats from the first tick, even for an integer floor.
+    v0 = float(world.min_velocity)
+    state = 0.0, v0, config.separation, v0
     # What each kept tick records, as in ``_run_group``: the gap and both
     # speeds, and the plateau index.
     recorded = np.zeros((3, config.ticks, 1))
@@ -382,10 +333,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     tick = 0
     while tick < config.ticks and state[2] - state[0] > 0:
         window = [state]
-        command = _speed_command(held, bullet.accel, bullet.decel)
+        command = _speed_command(held, config.bullet_accel, config.bullet_decel)
         for t in range(tick + 1, min(tick + width, config.ticks)):
-            ahead = _kinematics(world, window[-1], command,
-                                _speed_command(_target_sign(config, t - 1), target.accel, target.decel))
+            ahead = _kinematics(world, window[-1], command, _speed_command(
+                _target_sign(config, t - 1), config.target_accel, config.target_decel))
             if ahead[2] - ahead[0] <= 0:
                 break
             window.append(ahead)
@@ -400,8 +351,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         plateaus[tick:tick + keep, 0] = plateau[:keep]
         held = int(signs[plateau[keep - 1]])
         tick += keep
-        state = _kinematics(world, window[keep - 1], _speed_command(held, bullet.accel, bullet.decel),
-                            _speed_command(_target_sign(config, tick - 1), target.accel, target.decel))
+        state = _kinematics(world, window[keep - 1],
+                            _speed_command(held, config.bullet_accel, config.bullet_decel),
+                            _speed_command(_target_sign(config, tick - 1), config.target_accel,
+                                           config.target_decel))
         width = _WINDOW // 4 if changed.size else min(2 * width, _WINDOW)
     return _traces([config], [tick], recorded[:, :tick], plateaus[:tick])[0]
 
@@ -587,8 +540,7 @@ def _traces(configs, length: list[int], recorded: np.ndarray, plateau: np.ndarra
         columns = TraceColumns(tuple(range(n_ticks)), ssd, distance, display,
                                tuple(map(_LEVEL.__getitem__, display)), bullet, target)
         collision = n_ticks < config.ticks
-        traces.append(Trace(config, collision=collision, collision_tick=n_ticks if collision else None,
-                            columns=columns))
+        traces.append(Trace(config, columns, collision, n_ticks if collision else None))
     return traces
 
 
@@ -710,5 +662,4 @@ def trace_from_csv(text: str, config: ScenarioConfig | None = None) -> Trace:
             continue
         rows.append(_csv_fields(line, _TRACE_PARSERS, TraceColumns._fields, lineno))
     columns = TraceColumns._make(map(tuple, zip(*rows))) if rows else TraceColumns(*[()] * 7)
-    return Trace(config=config if config is not None else ScenarioConfig(),
-                 collision=collision, collision_tick=collision_tick, columns=columns)
+    return Trace(config if config is not None else ScenarioConfig(), columns, collision, collision_tick)

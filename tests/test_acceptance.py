@@ -26,7 +26,7 @@ from fearsim.experiments import SweepSpec, compare_osd, compare_ssd, run_sweep
 from fearsim.fuzzy import FuzzySet, TriangularMF, defuzzify_centroid, format_rules, parse_rules
 from fearsim.monitors import Verdict, check_comparison_invariants, check_trace_invariants
 from fearsim.sight import SsdParams, stopping_sight_distance, to_sim_units
-from fearsim.sim import ScenarioConfig, TickRecord, Trace, run_scenario, trace_to_csv
+from fearsim.sim import ScenarioConfig, TickRecord, Trace, TraceColumns, run_scenario, trace_to_csv
 
 
 def _data_text(name):
@@ -252,21 +252,21 @@ def test_criterion_7_overlay_validation_suite(close_gap_sweep, spaced_gap_sweep)
     def record(tick, gap, level, display, speed=10.0):
         return TickRecord(tick, 0.16, gap, display, level, speed, 10.0)
 
-    bad_1a = Trace(config=ScenarioConfig(), records=(
+    bad_1a = Trace(config=ScenarioConfig(), columns=TraceColumns(*zip(
         record(0, 5.0, FearLevel.MEDIUM, 49),
         record(1, 0.5, FearLevel.LOW, 26),
         record(2, 0.4, FearLevel.VERY_LOW, 6),
-    ))
+    )))
     report_1a = check_trace_invariants(bad_1a)[0]
     assert report_1a.verdict is Verdict.VIOLATED
     assert [tick for tick, _ in report_1a.evidence] == [1, 2]
 
-    bad_1b = Trace(config=ScenarioConfig(), records=(
+    bad_1b = Trace(config=ScenarioConfig(), columns=TraceColumns(*zip(
         record(0, 10.0, FearLevel.MEDIUM, 49),
         record(1, 9.0, FearLevel.HIGH, 66),
         record(2, 8.0, FearLevel.MEDIUM, 49),
         record(3, 7.0, FearLevel.VERY_HIGH, 76),
-    ))
+    )))
     report_1b = check_trace_invariants(bad_1b)[1]
     assert report_1b.verdict is Verdict.VIOLATED
     assert [tick for tick, _ in report_1b.evidence] == [2]

@@ -4,7 +4,7 @@ import pytest
 
 from fearsim.charts import comparison_chart_svg, trace_chart_svg
 from fearsim.experiments import ComparisonTable, compare_ssd
-from fearsim.sim import ScenarioConfig, Trace, run_scenario
+from fearsim.sim import ScenarioConfig, Trace, TraceColumns, run_scenario
 
 
 def test_trace_chart_is_valid_svg_with_two_series():
@@ -26,7 +26,7 @@ def test_single_tick_trace_degenerates_to_points():
 
 
 def test_empty_trace_is_rejected():
-    empty = Trace(config=ScenarioConfig(), records=())
+    empty = Trace(config=ScenarioConfig(), columns=TraceColumns(*[()] * 7))
     with pytest.raises(ValueError):
         trace_chart_svg(empty)
 

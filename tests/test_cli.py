@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from fearsim import cli, experiments
 from fearsim.cli import main
 from fearsim.emotion import FearLevel
 from fearsim.sim import trace_from_csv
@@ -171,6 +172,51 @@ def test_compare_rejects_bad_speeds(tmp_path, capsys, command, speeds, bad):
     assert main([command, "--speeds", speeds, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: --speeds: {bad}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare-ssd", "compare-osd"])
+@pytest.mark.parametrize("speeds, bad", [
+    ("30,1e8", "1e8"), ("30,1000.5", "1000.5"), ("10:1e8:3", "1e8"), ("-2000,30", "-2000"),
+])
+def test_compare_rejects_speeds_past_the_ceiling(tmp_path, capsys, monkeypatch, command, speeds, bad):
+    def unreachable(*args):
+        pytest.fail("a rejected speed reached the study")
+
+    monkeypatch.setattr(experiments, "measured_stopping_distance", unreachable)
+    monkeypatch.setattr(experiments, "measured_overtaking_distance", unreachable)
+    out = tmp_path / "table.csv"
+    assert main([command, f"--speeds={speeds}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --speeds: '{bad}' is out of range\n"
+    assert not out.exists()
+
+
+def test_speeds_up_to_the_ceiling_are_accepted():
+    assert cli._parse_speeds("0:1000:3") == [0.0, 500.0, 1000.0]
+    assert cli._parse_speeds("-1000,1000") == [-1000.0, 1000.0]
+
+
+_SMALL_TRACE = ("tick,ssd,distance,fear_display,fear_level,bullet_speed,target_speed\n"
+                "0,0.16,2.0,76,VeryHigh,10.0,10.0\n")
+
+
+@pytest.mark.parametrize("gap", ["nan", "inf", "-inf", "-1", "0", "-0"])
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_very_small_gap_must_be_finite_and_positive(tmp_path, capsys, command, gap):
+    out = tmp_path / "out"
+    if command == "sweep":
+        config = tmp_path / "mini.cfg"
+        config.write_text("[sweep]\nrepetitions = 1\nticks = 5\n[scenario]\nseparation = 2\n")
+        args = ["sweep", "--config", str(config), "--out-dir", str(out)]
+    else:
+        trace = tmp_path / "trace.csv"
+        trace.write_text(_SMALL_TRACE)
+        args = ["validate", "--trace", str(trace), "--out", str(out)]
+    assert main(args + [f"--very-small-gap={gap}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --very-small-gap: ")
+    assert "Traceback" not in captured.err
     assert not out.exists()
 
 

@@ -11,7 +11,8 @@ from fearsim.monitors import (
     reports_to_csv,
     summarize_reports,
 )
-from fearsim.sim import ScenarioConfig, TickRecord, Trace, run_lockstep, run_scenario, trace_to_csv
+from fearsim.sim import (ScenarioConfig, TickRecord, Trace, TraceColumns, run_lockstep, run_scenario,
+                         trace_to_csv)
 
 LEVEL_DISPLAY = {
     FearLevel.VERY_LOW: 6,
@@ -33,7 +34,8 @@ def synthetic_trace(rows):
             fear_display=LEVEL_DISPLAY[level], fear_level=level,
             bullet_speed=speed, target_speed=10.0,
         ))
-    return Trace(config=ScenarioConfig(), records=tuple(records))
+    columns = TraceColumns._make(map(tuple, zip(*records))) if records else TraceColumns(*[()] * 7)
+    return Trace(config=ScenarioConfig(), columns=columns)
 
 
 def record_loop_reports(trace, threshold=3.0):

@@ -1,5 +1,6 @@
 """Simulator: maneuvers, stepping, scenarios, record import, trace CSV."""
 
+from collections import namedtuple
 from importlib import resources
 
 import pytest
@@ -15,13 +16,12 @@ from fearsim.sim import (
     ScenarioConfig,
     TickRecord,
     Trace,
-    VehicleState,
+    TraceColumns,
     WorldConfig,
     _COMMAND_SIGN,
     _kinematics,
     _speed_command,
     import_simconnector,
-    initial_states,
     run_lockstep,
     run_scenario,
     step,
@@ -30,17 +30,29 @@ from fearsim.sim import (
 )
 
 WORLD = WorldConfig()
+Bullet = namedtuple("Bullet", "speed accel decel")
 
 
 def bullet_at(speed, accel=0.06, decel=0.03):
-    return VehicleState(0.0, speed, accel, decel)
+    return Bullet(speed, accel, decel)
 
 
 def speed_change(level, bullet, world=WORLD):
     """The bullet's speed change over one tick at this fear level, made as ``step`` makes it."""
     command = _speed_command(_COMMAND_SIGN[level], bullet.accel, bullet.decel)
-    _, speed, _, _ = _kinematics(world, (bullet.position, bullet.speed, 0.0, bullet.speed), command, 0.0)
+    _, speed, _, _ = _kinematics(world, (0.0, bullet.speed, 0.0, bullet.speed), command, 0.0)
     return speed - bullet.speed
+
+
+def start(config):
+    """``run_scenario``'s start state: both at the speed floor, ``separation`` apart."""
+    v0 = float(config.world.min_velocity)
+    return 0.0, v0, config.separation, v0
+
+
+def columns_of(records):
+    """A trace's columns from its ticks as ``TickRecord``s."""
+    return TraceColumns._make(map(tuple, zip(*records))) if records else TraceColumns(*[()] * 7)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +97,13 @@ def test_three_tick_hand_trace_matches_closed_form():
         target_accel=0.0, target_decel=0.0,
         separation=1.0, ticks=3,
     )
-    bullet, target = initial_states(config)
+    state = start(config)
     k = WORLD.tick_seconds * MPH_TO_FPS / WORLD.patch_scale
     for tick in range(3):
-        bullet, target, record = step(config, bullet, target, tick)
-        assert bullet.position == pytest.approx(10.0 * k * (tick + 1), abs=1e-12)
-        assert target.position == pytest.approx(1.0 + 10.0 * k * (tick + 1), abs=1e-12)
+        state, record = step(config, state, tick)
+        bullet_position, _, target_position, _ = state
+        assert bullet_position == pytest.approx(10.0 * k * (tick + 1), abs=1e-12)
+        assert target_position == pytest.approx(1.0 + 10.0 * k * (tick + 1), abs=1e-12)
         assert record.distance == pytest.approx(1.0)
 
 
@@ -101,11 +114,10 @@ def test_acceleration_adds_rate_each_tick():
         target_accel=0.0, target_decel=0.0,
         separation=5.0,
     )
-    bullet, target = initial_states(config)
-    bullet, target, _ = step(config, bullet, target, 0)
-    assert bullet.speed == pytest.approx(10.06)
-    bullet, target, _ = step(config, bullet, target, 1)
-    assert bullet.speed == pytest.approx(10.12)
+    state, _ = step(config, start(config), 0)
+    assert state[1] == pytest.approx(10.06)
+    state, _ = step(config, state, 1)
+    assert state[1] == pytest.approx(10.12)
 
 
 def test_deceleration_inverts_acceleration():
@@ -116,8 +128,7 @@ def test_deceleration_inverts_acceleration():
 
 def test_records_snapshot_pre_step_state():
     config = ScenarioConfig(separation=1.0)
-    bullet, target = initial_states(config)
-    _, _, record = step(config, bullet, target, 0)
+    _, record = step(config, start(config), 0)
     assert record.bullet_speed == 10.0
     assert record.target_speed == 10.0
     assert record.distance == 1.0
@@ -246,7 +257,7 @@ def test_lockstep_traces_round_trip_through_csv():
         rebuilt = trace_from_csv(trace_to_csv(trace), trace.config)
         assert rebuilt.records == trace.records
         assert (rebuilt.collision, rebuilt.collision_tick) == (trace.collision, trace.collision_tick)
-        # Built from columns or from records, equal traces are interchangeable.
+        # Read back from CSV or run by either runner, equal traces are interchangeable.
         scalar = run_scenario(trace.config)
         assert rebuilt == trace == scalar
         assert hash(rebuilt) == hash(trace) == hash(scalar)
@@ -254,16 +265,16 @@ def test_lockstep_traces_round_trip_through_csv():
 
 
 def stepped(config):
-    """The reference run: ``step`` from ``initial_states`` until a collision."""
-    bullet, target = initial_states(config)
+    """The reference run: ``step`` from ``start`` until a collision."""
+    state = start(config)
     records = []
     for tick in range(config.ticks):
         try:
-            bullet, target, record = step(config, bullet, target, tick)
+            state, record = step(config, state, tick)
         except CollisionError as exc:
-            return Trace(config, records, collision=True, collision_tick=exc.tick)
+            return Trace(config, columns_of(records), collision=True, collision_tick=exc.tick)
         records.append(record)
-    return Trace(config, records)
+    return Trace(config, columns_of(records))
 
 
 _unit = st.floats(0.0, 1.0)
@@ -406,7 +417,7 @@ def traces(draw):
         fear_display=st.integers(), fear_level=st.sampled_from(FearLevel),
         bullet_speed=_floats, target_speed=_floats), max_size=20))
     collision_tick = draw(st.one_of(st.none(), st.integers()))
-    return Trace(ScenarioConfig(), records, collision=collision_tick is not None,
+    return Trace(ScenarioConfig(), columns_of(records), collision=collision_tick is not None,
                  collision_tick=collision_tick)
 
 
@@ -427,7 +438,6 @@ def test_trace_records_are_built_once():
     hash(lockstep.records)
     scalar = run_scenario(ScenarioConfig(ticks=20))
     assert scalar.records is scalar.records
-    assert Trace(config=scalar.config, records=scalar.records).records is scalar.records
 
 
 def test_invalid_config_rejected():
