@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 from . import charts, experiments, monitors
 from .configio import ConfigError, atomic_write, load_osd_calibration_doc, load_scenario_config, load_sweep_rows
@@ -34,6 +35,9 @@ def _read(path: str) -> str:
 # The fastest speed either study takes, in mph.  The measured stopping
 # distance sizes its Euler arrays by the speed: about 131k steps here.
 _MAX_SPEED = 1000.0
+# The most speeds a lo:hi:count range gives; each is one table row and one
+# measured distance (5,000 take about a second).
+_MAX_SPEED_COUNT = 10_000
 
 
 def _speed(text: str) -> float:
@@ -68,6 +72,8 @@ def _parse_speeds(spec: str) -> list[float]:
             raise ConfigError(f"--speeds: count {parts[2].strip()!r} is not an integer") from None
         if count < 1 or hi < lo or not math.isfinite(hi - lo):
             raise ConfigError(f"--speeds: bad speed range {spec!r}")
+        if count > _MAX_SPEED_COUNT:
+            raise ConfigError(f"--speeds: count {count} is above {_MAX_SPEED_COUNT:,}")
         if count == 1:
             return [lo]
         step = (hi - lo) / (count - 1)
@@ -228,9 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: each parse makes a new
+    namespace, and nothing the parser holds changes."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, RuleParseError, ValueError) as exc:

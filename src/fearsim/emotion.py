@@ -75,8 +75,8 @@ DISPLAY_PLATEAUS: tuple[int, ...] = tuple(display for _, display in _PLATEAUS)
 # 100*intensity at or above midpoint i falls on plateau i+1 or higher, so
 # the nearest plateau wins and ties go to the higher one:
 # (11, 21, 31, 42.5, 57.5, 71).
-_MIDPOINTS: tuple[float, ...] = tuple(
-    (low + high) / 2 for low, high in zip(DISPLAY_PLATEAUS, DISPLAY_PLATEAUS[1:]))
+_MIDPOINTS = np.array([(low + high) / 2
+                       for low, high in zip(DISPLAY_PLATEAUS, DISPLAY_PLATEAUS[1:])])
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,23 @@ def _plateau_indices(potential: np.ndarray, threshold: np.ndarray) -> np.ndarray
     The thresholds are scenario constants, already checked to lie in
     [0, 1]; the potentials are checked here.
     """
+    return _plateaus_with_slack(potential, threshold)[0]
+
+
+# The midpoints between an edge below the lowest plateau and one above the
+# highest: plateau i spans _EDGES[i] to _EDGES[i + 1].
+_EDGES = np.array([-np.inf, *_MIDPOINTS, np.inf])
+
+
+def _plateaus_with_slack(potential: np.ndarray, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """``_plateau_indices``, and how far each 100*intensity lies from the
+    nearest midpoint."""
     outside = ~((potential >= 0.0) & (potential <= 1.0))
     if outside.any():
         raise ValueError(f"potential={potential[outside][0]} outside [0, 1]")
-    intensity = np.where(potential > threshold, potential - threshold, 0.0)
-    return np.searchsorted(_MIDPOINTS, 100.0 * intensity, side="right")
+    scaled = 100.0 * np.where(potential > threshold, potential - threshold, 0.0)
+    plateau = _MIDPOINTS.searchsorted(scaled, side="right")
+    return plateau, np.minimum(scaled - _EDGES[plateau], _EDGES[plateau + 1] - scaled)
 
 
 # ---------------------------------------------------------------------------

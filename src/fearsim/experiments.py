@@ -132,17 +132,18 @@ def _trace_csvs(runs):
 def run_sweep(spec: SweepSpec, very_small_gap: float = monitors.DEFAULT_VERY_SMALL_GAP) -> SweepDataset:
     """Run rows x repetitions, monitored; deterministic for a base seed.
 
-    Every row is validated up front so a bad row rejects the whole sweep
-    before any run starts.  Run seeds are base_seed + flat index, so the
-    dataset is reproducible byte for byte.  The runs advance together in
-    lock-step (``sim.run_lockstep``), with the traces ``run_scenario``
-    gives.
+    Every row, and ``very_small_gap``, is validated up front so a bad one
+    rejects the whole sweep before any run starts.  Run seeds are
+    base_seed + flat index, so the dataset is reproducible byte for byte.
+    The runs advance together in lock-step (``sim.run_lockstep``), with
+    the traces ``run_scenario`` gives.
 
     Runs whose configs differ only in the seed and draw the same phase
     offset (every repetition of a row without jitter) are simulated and
     monitored once; each gets a ``Trace`` with its own config over the
     shared columns.
     """
+    very_small_gap = monitors._arming_gap(very_small_gap)
     configs = []
     firsts = {}  # dynamics key -> the first config with it
     for row_index, row in enumerate(spec.rows):

@@ -19,6 +19,7 @@ Invariants:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from operator import gt
 
@@ -65,7 +66,15 @@ def _verdict(evidence: list, armed: bool) -> Verdict:
 def check_trace_invariants(trace: Trace,
                            very_small_gap: float = DEFAULT_VERY_SMALL_GAP) -> list[InvariantReport]:
     """Reports for Inv1A and Inv1B, in that order."""
-    return [_check_inv1a(trace, float(very_small_gap)), _check_inv1b(trace)]
+    return [_check_inv1a(trace, _arming_gap(very_small_gap)), _check_inv1b(trace)]
+
+
+def _arming_gap(very_small_gap: float) -> float:
+    """Inv1A's arming gap as a float; nan or a gap of 0 or less would never arm it."""
+    gap = float(very_small_gap)
+    if not (math.isfinite(gap) and gap > 0):
+        raise ValueError(f"very_small_gap={very_small_gap!r} is not a finite gap above 0")
+    return gap
 
 
 def _check_inv1a(trace: Trace, threshold: float) -> InvariantReport:

@@ -35,7 +35,7 @@ from .emotion import (
     DISPLAY_PLATEAUS,
     EmotionInputs,
     FearLevel,
-    _plateau_indices,
+    _plateaus_with_slack,
     classify_level,
     compute_likelihood,
     fear_intensity,
@@ -390,6 +390,11 @@ def _clamp_speeds(speed: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.nd
     return np.where(high < speed, high, speed)
 
 
+# A computed likelihood's display closer than this to a plateau midpoint is
+# decided by the exact likelihood (derived at ``_fear_plateaus``).
+_PLATEAU_MARGIN = 1e-6
+
+
 def _fear_plateaus(gap: np.ndarray, speed: np.ndarray, span, max_velocity,
                    appraisal: np.ndarray, threshold) -> np.ndarray:
     """``step``'s fear pipeline at many points, as plateau indices.
@@ -398,21 +403,52 @@ def _fear_plateaus(gap: np.ndarray, speed: np.ndarray, span, max_velocity,
     likelihood is computed from the gap and bullet speed.  The world's
     span and maximum velocity and the fear threshold are per point or
     shared.
+
+    Only the plateau is kept, so a computed likelihood comes from the
+    closed form (``RuleBase._mamdani_closed_batch``), within eps = 1e-10
+    of ``compute_likelihood``'s.  The shipped fear rules have strong input
+    partitions and all 125 cells, so at fixed undesirability and ig the
+    potential is linear in the likelihood between adjacent peaks of its
+    terms, with a slope of at most the consequents' centroid range over
+    the smallest peak gap, below 1/0.19.  Each additive evaluation rounds
+    by less than 3e-14, and the threshold and the x100 add a few units in
+    the last place, so 100*intensity moves by less than
+    100 (5.3 eps + 1e-13) < 6e-8 between the two likelihoods.  A point
+    whose 100*intensity lies ``_PLATEAU_MARGIN`` or more from every
+    midpoint therefore has the exact likelihood's plateau.  The others,
+    and those without a proven bound, go through ``_mamdani_batch`` as one
+    batch.
     """
     undesirability, likelihood, ig = appraisal
     missing = np.isnan(likelihood)
-    if missing.any():
-        inputs = {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity}
-        if missing.all():
-            likelihood = likelihood_rulebase()._mamdani_batch(inputs)[0]
-        else:
-            likelihood = likelihood.copy()
-            likelihood[missing] = likelihood_rulebase()._mamdani_batch(
-                {name: value[missing] for name, value in inputs.items()})[0]
+    if not missing.any():
+        return _plateaus(undesirability, likelihood, ig, threshold)[0]
+    rulebase = likelihood_rulebase()
+    inputs = {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity}
+    if missing.all():
+        likelihood = rulebase._mamdani_closed_batch(inputs)
+    else:
+        likelihood = likelihood.copy()
+        likelihood[missing] = rulebase._mamdani_closed_batch(
+            {name: value[missing] for name, value in inputs.items()})
+    unproven = np.isnan(likelihood)
+    if unproven.any():
+        likelihood = np.where(unproven, 0.0, likelihood)
+    plateau, slack = _plateaus(undesirability, likelihood, ig, threshold)
+    redo = (missing & ((slack < _PLATEAU_MARGIN) | unproven)).nonzero()[0]
+    if redo.size:
+        exact = rulebase._mamdani_batch({name: value[redo] for name, value in inputs.items()})[0]
+        plateau[redo] = _plateaus(undesirability[redo], exact, ig[redo],
+                                  np.broadcast_to(threshold, plateau.shape)[redo])[0]
+    return plateau
+
+
+def _plateaus(undesirability, likelihood, ig, threshold) -> tuple[np.ndarray, np.ndarray]:
+    """Plateau indices and slack (``_plateaus_with_slack``) of appraisals."""
     potential = _additive_batch(fear_rulebase(), {
         "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
     })
-    return _plateau_indices(potential, threshold)
+    return _plateaus_with_slack(potential, threshold)
 
 
 def _appraisal_table(configs, ticks: int) -> np.ndarray:

@@ -196,6 +196,37 @@ def test_speeds_up_to_the_ceiling_are_accepted():
     assert cli._parse_speeds("-1000,1000") == [-1000.0, 1000.0]
 
 
+@pytest.mark.parametrize("command", ["compare-ssd", "compare-osd"])
+@pytest.mark.parametrize("count", [10_001, 200_000])
+def test_compare_rejects_a_speed_count_past_the_cap(tmp_path, capsys, monkeypatch, command, count):
+    def unreachable(*args, **kwargs):
+        pytest.fail("a rejected speed count reached the study")
+
+    monkeypatch.setattr(experiments, "compare_ssd", unreachable)
+    monkeypatch.setattr(experiments, "compare_osd", unreachable)
+    out = tmp_path / "table.csv"
+    assert main([command, f"--speeds=10:20:{count}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --speeds: count {count} is above 10,000\n"
+    assert not out.exists()
+
+
+def test_speed_count_up_to_the_cap_is_accepted():
+    speeds = cli._parse_speeds("10:20:10000")
+    assert len(speeds) == 10_000
+    assert (speeds[0], speeds[-1]) == (10.0, 20.0)
+
+
+def test_parser_is_built_once_and_keeps_no_inputs(data_file, capsys):
+    rules = data_file("likelihood.rules")
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
+    assert main(["fuzzy-eval", "--rules", rules, "--input", "distance=0.3", "--input", "speed=0.5"]) == 0
+    assert capsys.readouterr().out == "likelihood = 0.710950600896861\n"
+    # Had the first call's inputs stayed, this one would see distance twice.
+    assert main(["fuzzy-eval", "--rules", rules, "--input", "distance=0.3"]) == 1
+    assert capsys.readouterr().err == "error: missing input variable 'speed'\n"
+
+
 _SMALL_TRACE = ("tick,ssd,distance,fear_display,fear_level,bullet_speed,target_speed\n"
                 "0,0.16,2.0,76,VeryHigh,10.0,10.0\n")
 

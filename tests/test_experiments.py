@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fearsim import experiments
 from fearsim.experiments import (
     ComparisonRow,
     ComparisonTable,
@@ -86,6 +87,17 @@ def test_sweep_passes_very_small_gap_to_the_monitors():
     assert default.verdict is Verdict.VACUOUS
     assert wide.verdict is not Verdict.VACUOUS
     assert wide.parameters["very_small_gap"] == 100.0
+
+
+@pytest.mark.parametrize("gap", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sweep_rejects_a_gap_that_never_arms_before_any_run(monkeypatch, gap):
+    def unreachable(configs):
+        pytest.fail("a sweep with a bad very_small_gap started its runs")
+
+    monkeypatch.setattr(experiments, "run_lockstep", unreachable)
+    spec = SweepSpec(rows=(ScenarioConfig(separation=2.0),), repetitions=1, ticks=5)
+    with pytest.raises(ValueError, match=r"^very_small_gap=.* is not a finite gap above 0$"):
+        run_sweep(spec, very_small_gap=gap)
 
 
 def test_sweep_aggregates_recomputable_from_traces():

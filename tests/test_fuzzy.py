@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fearsim.emotion import fear_rulebase, likelihood_rulebase
 from fearsim.fuzzy import (
+    _CENTROID_ERROR,
     DegenerateSetError,
     FuzzyRule,
     FuzzySet,
@@ -453,17 +454,20 @@ def _variable(name, mfs):
 
 
 @st.composite
-def rulebases(draw):
+def rulebases(draw, outputs=None):
     """Arbitrary rule bases: overlapping or gapped terms, rules over any
     subset of the inputs (an input may even appear twice in one rule), and
-    rule tables with holes."""
+    rule tables with holes.  ``outputs`` draws the output variable."""
     n_inputs = draw(st.integers(1, 3))
     inputs = tuple(
         _variable(f"x{p}", draw(st.lists(triangles(), min_size=1, max_size=4)))
         for p in range(n_inputs)
     )
-    # Output terms keep some width so each has mass on the sampling grid.
-    output = _variable("y", draw(st.lists(triangles(min_width=0.25), min_size=1, max_size=3)))
+    if outputs is not None:
+        output = draw(outputs)
+    else:
+        # Output terms keep some width so each has mass on the sampling grid.
+        output = _variable("y", draw(st.lists(triangles(min_width=0.25), min_size=1, max_size=3)))
     clause = st.integers(0, n_inputs - 1).flatmap(
         lambda p: st.tuples(st.just(p), st.integers(0, len(inputs[p].terms) - 1)))
     rules, keys = [], set()
@@ -548,6 +552,92 @@ def test_shipped_rules_batch_matches_scalar(triples):
                                    [{"distance": a, "speed": b} for a, b, _ in triples])
     assert_batch_matches_full_scan(fear_rulebase(), [
         {"undesirability": a, "likelihood": b, "ig": c} for a, b, c in triples])
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Mamdani centroid
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pairwise_outputs(draw):
+    """Output variables whose terms overlap at most in pairs: term k spans
+    ends k to k + 2 of one increasing sequence, so it ends where term k + 2
+    starts.  Peaks anywhere in the support, shoulders included."""
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-2.0, 3.0), (10.0, 20.0)]))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=7))
+    ends = [lo + (hi - lo) * x for x in np.cumsum([0.0, *steps]) / sum(steps)]
+    ends[-1] = hi
+    terms, peak = [], lo
+    for k in range(len(ends) - 2):
+        where = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+        peak = min(max(peak, ends[k] + where * (ends[k + 2] - ends[k])), ends[k + 2])
+        terms.append((f"t{k}", TriangularMF(ends[k], peak, ends[k + 2])))
+    return LinguisticVariable("y", (lo, hi), tuple(terms))
+
+
+def covered_thrice(rb):
+    """Whether some grid column lies under three or more used output terms."""
+    used = [k for k, _, _ in rb._batch.group_spans]
+    return bool(((rb._term_rows[used] > 0.0).sum(axis=0) > 2).any())
+
+
+def table_pairs(rb):
+    """The pair of strongest-firing rows that caps each closed-form table."""
+    return list(zip(rb._closed.first.tolist(), rb._closed.second.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rulebases(outputs=pairwise_outputs()), st.data())
+def test_closed_form_centroid_is_within_its_bound(rb, data):
+    points = data.draw(st.lists(st.fixed_dictionaries({v.name: _unit_inputs for v in rb.inputs}),
+                                min_size=1, max_size=12))
+    columns = {v.name: np.array([p[v.name] for p in points]) for v in rb.inputs}
+    closed = rb._mamdani_closed_batch(columns)
+    if covered_thrice(rb):
+        assert rb._closed is None
+        assert np.isnan(closed).all()
+        return
+    exact, fired = rb._mamdani_batch(columns)
+    lo, hi = rb.output.domain
+    unproven = np.isnan(closed)
+    # Only a total that may have underflowed leaves a point unproven.
+    assert (rb._strongest(columns).max(axis=0)[unproven] < 1e-199).all()
+    error = np.abs(closed - exact)[~unproven]
+    assert (error <= _CENTROID_ERROR / 100 * max(abs(lo), abs(hi))).all()
+    assert ((lo <= closed[~unproven]) & (closed[~unproven] <= hi)).all()
+    assert closed[~fired].tolist() == exact[~fired].tolist()
+
+
+def test_closed_form_tables_of_the_shipped_likelihood_rules():
+    rb = likelihood_rulebase()
+    # Five terms and four overlapping neighbours, each a table.
+    assert table_pairs(rb) == [(k, k) for k in range(5)] + [(k, k + 1) for k in range(4)]
+    rng = np.random.default_rng(7)
+    columns = {"distance": rng.random(5000), "speed": rng.random(5000)}
+    columns["distance"][:25] = np.repeat(_shipped_knots, 5)
+    columns["speed"][:25] = np.tile(_shipped_knots, 5)
+    closed = rb._mamdani_closed_batch(columns)
+    assert np.abs(closed - rb._mamdani_batch(columns)[0]).max() <= _CENTROID_ERROR / 100
+
+
+def test_a_column_under_three_terms_gets_no_tables():
+    doc = SMALL_DOC.replace("term y SMALL 0 0.25 0.5",
+                            "term y SMALL 0 0.25 0.6\nterm y MID 0.1 0.5 0.9")
+    rb = parse_rules(doc + "IF x IS LOW AND x IS HIGH THEN y IS MID\n")
+    assert covered_thrice(rb)
+    assert rb._closed is None
+    assert np.isnan(rb._mamdani_closed_batch({"x": np.array([0.0, 0.5, 1.0])})).all()
+    # Unused terms do not count: without a rule for MID, SMALL and BIG
+    # overlap in pairs.
+    assert table_pairs(parse_rules(doc)) == [(0, 0), (1, 1), (0, 1)]
+
+
+def test_closed_form_rejects_what_the_exact_path_rejects():
+    rb = likelihood_rulebase()
+    with pytest.raises(ValueError, match=r"speed=1\.5 outside domain"):
+        rb._mamdani_closed_batch({"distance": np.array([0.5, 0.5]), "speed": np.array([0.5, 1.5])})
+    with pytest.raises(ValueError, match=r"^missing input variable 'speed'$"):
+        rb._mamdani_closed_batch({"distance": np.array([0.5])})
 
 
 def test_batch_rejects_out_of_domain():

@@ -1,5 +1,6 @@
 """Invariant monitors: verdicts, evidence, and non-interference."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fearsim.emotion import FearLevel
@@ -125,6 +126,13 @@ def test_inv1a_threshold_is_configurable_and_recorded():
     report = check_trace_invariants(trace, very_small_gap=6.0)[0]
     assert report.verdict is Verdict.VIOLATED
     assert report.parameters["very_small_gap"] == 6.0
+
+
+@pytest.mark.parametrize("gap", [float("nan"), float("inf"), float("-inf"), 0, -0.0, -1])
+def test_inv1a_rejects_a_gap_that_never_arms(gap):
+    trace = synthetic_trace([(2.0, FearLevel.LOW)])
+    with pytest.raises(ValueError, match=r"^very_small_gap=.* is not a finite gap above 0$"):
+        check_trace_invariants(trace, very_small_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 from collections import namedtuple
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fearsim import sim
-from fearsim.configio import load_scenario_config
-from fearsim.emotion import EmotionInputs, FearLevel
-from fearsim.fuzzy import RuleBase
+from fearsim.configio import load_scenario_config, load_sweep_rows
+from fearsim.emotion import (DISPLAY_PLATEAUS, EmotionInputs, FearLevel, _plateau_indices,
+                             fear_rulebase, likelihood_rulebase)
+from fearsim.experiments import SweepSpec, run_sweep
+from fearsim.fuzzy import _CENTROID_ERROR, RuleBase, _additive_batch
 from fearsim.sight import MPH_TO_FPS
 from fearsim.sim import (
     CollisionError,
@@ -387,7 +390,7 @@ def test_long_runs_with_changes_inside_windows():
 
 def test_single_run_batches_its_inference(monkeypatch):
     config = shipped_replay()
-    calls = {"likelihood": 0, "potential": 0}
+    calls = {"likelihood": 0, "exact": 0, "potential": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -395,14 +398,133 @@ def test_single_run_batches_its_inference(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(RuleBase, "_mamdani_batch", counted("likelihood", RuleBase._mamdani_batch))
+    monkeypatch.setattr(RuleBase, "_mamdani_closed_batch",
+                        counted("likelihood", RuleBase._mamdani_closed_batch))
+    monkeypatch.setattr(RuleBase, "_mamdani_batch", counted("exact", RuleBase._mamdani_batch))
     monkeypatch.setattr(sim, "_additive_batch", counted("potential", sim._additive_batch))
     for name in ("step", "compute_likelihood", "fear_potential", "classify_level"):
         monkeypatch.setattr(sim, name, None)
     trace = run_scenario(config)
     assert len(trace.columns.tick) == config.ticks == 1200
     assert 0 < calls["likelihood"] < config.ticks / 10
+    assert calls["exact"] == 0
     assert 0 < calls["potential"] < config.ticks / 10
+
+
+# ---------------------------------------------------------------------------
+# plateaus from the closed-form likelihood
+# ---------------------------------------------------------------------------
+
+def exact_plateaus(gap, speed, span, max_velocity, appraisal, threshold):
+    """``_fear_plateaus`` with every computed likelihood from ``_mamdani_batch``."""
+    undesirability, likelihood, ig = appraisal
+    computed = likelihood_rulebase()._mamdani_batch(
+        {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity})[0]
+    potential = _additive_batch(fear_rulebase(), {
+        "undesirability": undesirability, "ig": ig,
+        "likelihood": np.where(np.isnan(likelihood), computed, likelihood)})
+    return _plateau_indices(potential, threshold)
+
+
+_fear_points = st.lists(st.tuples(
+    st.floats(0.0, 60.0, exclude_min=True),                      # gap
+    st.floats(0.0, 100.0),                                       # bullet speed
+    st.floats(0.0, 1.0),                                         # undesirability
+    st.one_of(st.just(np.nan), st.floats(0.0, 1.0)),             # likelihood, NaN if computed
+    st.floats(0.0, 1.0),                                         # ig
+    st.floats(0.0, 1.0),                                         # fear threshold
+), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fear_points, st.booleans())
+def test_fear_plateaus_are_the_exact_pipelines(points, shared):
+    gap, speed, undesirability, likelihood, ig, threshold = map(np.array, zip(*points))
+    world = (WORLD.span, WORLD.max_velocity) if shared else (
+        np.full(len(gap), WORLD.span), np.full(len(gap), WORLD.max_velocity))
+    threshold = threshold[0] if shared else threshold
+    appraisal = np.array([undesirability, likelihood, ig])
+    assert sim._fear_plateaus(gap, speed, *world, appraisal, threshold).tolist() == \
+        exact_plateaus(gap, speed, *world, appraisal, threshold).tolist()
+
+
+def straddling_gaps():
+    """Pairs of adjacent float gaps whose exact plateaus differ, at several
+    speeds and appraisals: (gaps, speeds, appraisal, thresholds) with the
+    pairs' low ends first and their high ends after, and the index of the
+    midpoint each pair straddles."""
+    span, max_velocity = WORLD.span, WORLD.max_velocity
+    cases = [(speed, u, ig, threshold) for speed in (20.0, 50.0, 90.0) for u in (1.0, 0.5)
+             for ig in (1.0, 0.5) for threshold in (0.0, 0.3)]
+
+    def plateaus(gap, setting):
+        speed, u, ig, threshold = setting
+        return exact_plateaus(gap, speed, span, max_velocity,
+                              np.array([u, np.full_like(u, np.nan), ig]), threshold)
+
+    # A coarse scan over the gap finds where the plateau changes.
+    scan = np.linspace(0.05, span, 200)
+    found = []
+    for setting in cases:
+        plateau = plateaus(scan, np.repeat(np.array(setting)[:, None], len(scan), axis=1))
+        found += [(scan[i], scan[i + 1], setting) for i in np.flatnonzero(np.diff(plateau))]
+    low, high = np.array([(a, b) for a, b, _ in found]).T
+    setting = np.array([s for _, _, s in found]).T
+    below = plateaus(low, setting)
+    # Bisect every change at once, keeping the low side's plateau, until
+    # the two ends are adjacent floats.
+    while (np.nextafter(low, high) != high).any():
+        middle = low / 2 + high / 2
+        same = plateaus(middle, setting) == below
+        low, high = np.where(same, middle, low), np.where(same, high, middle)
+    above = plateaus(high, setting)
+    assert (above != below).all()
+    speed, u, ig, threshold = np.concatenate([setting, setting], axis=1)
+    return (np.concatenate([low, high]), speed, np.array([u, np.full_like(u, np.nan), ig]),
+            threshold, np.minimum(below, above))
+
+
+def test_points_next_to_every_plateau_edge_get_the_exact_plateau():
+    gap, speed, appraisal, threshold, straddled = straddling_gaps()
+    assert len(gap) >= 20
+    assert set(straddled.tolist()) == set(range(len(DISPLAY_PLATEAUS) - 1))
+    span, max_velocity = WORLD.span, WORLD.max_velocity
+    assert sim._fear_plateaus(gap, speed, span, max_velocity, appraisal, threshold).tolist() == \
+        exact_plateaus(gap, speed, span, max_velocity, appraisal, threshold).tolist()
+
+
+def test_plateau_margin_covers_the_likelihood_bound():
+    # The premises of the margin's derivation at ``sim._fear_plateaus``:
+    # strong partitions on every input of the fear rules, a rule in every
+    # cell, and the potential's slope in the likelihood.
+    rb = fear_rulebase()
+    xs = np.linspace(0.0, 1.0, 10001)
+    for variable in rb.inputs:
+        assert np.allclose(sum(mf.sample(xs) for _, mf in variable.terms), 1.0, rtol=0, atol=1e-12)
+    assert len(rb.rules) == np.prod([len(v.terms) for v in rb.inputs])
+    assert all(len(rule.antecedents) == len(rb.inputs) for rule in rb.rules)
+    likelihood = next(v for v in rb.inputs if v.name == "likelihood")
+    peaks = [mf.peak for _, mf in likelihood.terms]
+    slope = (max(rb._term_centroid) - min(rb._term_centroid)) / np.diff(peaks).min()
+    assert slope < 1 / 0.19
+    assert 100 * (slope * _CENTROID_ERROR + 1e-13) < 6e-8 < sim._PLATEAU_MARGIN / 10
+
+
+def shipped_sweeps():
+    data = resources.files("fearsim.data")
+    for name in ("sweep_close_gap.cfg", "sweep_spaced_gap.cfg"):
+        rows, sweep = load_sweep_rows(data.joinpath(name).read_text())
+        yield SweepSpec(rows=tuple(rows), repetitions=sweep["repetitions"],
+                        ticks=sweep["ticks"], base_seed=sweep["base_seed"])
+
+
+def test_shipped_runs_never_take_the_exact_path(monkeypatch):
+    def unreachable(self, inputs):
+        pytest.fail("a shipped run computed a likelihood through _mamdani_batch")
+
+    monkeypatch.setattr(RuleBase, "_mamdani_batch", unreachable)
+    assert len(run_scenario(shipped_replay()).columns.tick) == 1200
+    assert [len(run_sweep(spec).runs) for spec in shipped_sweeps()] == [300, 250]
 
 
 _floats = st.floats(allow_nan=False)
