@@ -179,24 +179,24 @@ class InferenceResult:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class _BatchTables:
-    """Array form of a compiled rule base, for the batch evaluators."""
-
-    names: tuple                    # input variable names, in input order
-    domain_lo: np.ndarray           # input domains, (n_inputs, 1) each
-    domain_hi: np.ndarray
-    term_input: np.ndarray          # input position of each stacked term
-    left: np.ndarray                # breakpoints, (n_terms, 1) each
-    peak: np.ndarray
-    right: np.ndarray
-    rise: np.ndarray                # peak - left, 1 for a left shoulder
-    fall: np.ndarray                # right - peak, 1 for a right shoulder
-    antecedent_rows: np.ndarray     # (rules, width) degree rows, padded with the ones row
-    by_consequent: np.ndarray       # rule order grouped by consequent term
-    group_starts: np.ndarray        # start of each group in that order
-    group_spans: tuple              # (output term, first, stop) nonzero columns per group
-    rule_centroid: np.ndarray       # (rules, 1) centroid of each rule's consequent
+# Array form of a compiled rule base, for the batch evaluators.  (A
+# namedtuple, as ``_ClosedTables`` below: a dataclass costs more at import.)
+_BatchTables = namedtuple("_BatchTables", [
+    "names",            # input variable names, in input order
+    "domain_lo",        # input domains, (n_inputs, 1) each
+    "domain_hi",
+    "term_input",       # input position of each stacked term
+    "left",             # breakpoints, (n_terms, 1) each
+    "peak",
+    "right",
+    "rise",             # peak - left, 1 for a left shoulder
+    "fall",             # right - peak, 1 for a right shoulder
+    "antecedent_rows",  # (rules, width) degree rows, padded with the ones row
+    "by_consequent",    # rule order grouped by consequent term
+    "group_starts",     # start of each group in that order
+    "group_spans",      # (output term, first, stop) nonzero columns per group
+    "rule_centroid",    # (rules, 1) centroid of each rule's consequent
+])
 
 
 # Sorted-sample tables of the closed-form Mamdani centroid.  Table i is a
@@ -397,6 +397,31 @@ class RuleBase:
         fired = strongest.any(axis=0)
         np.divide(moment, total, out=value, where=fired)
         return value, fired
+
+    @cached_property
+    def _peaks(self) -> dict[str, np.ndarray] | None:
+        """Each input's term peaks by name, built on first use, when the
+        additive inference is the multilinear interpolation of the rule
+        table between them; None otherwise.
+
+        That takes a strong partition on every input (the end terms
+        shoulder the domain's ends, and each term's feet are its
+        neighbours' peaks, so the degrees sum to 1) and exactly one rule
+        per antecedent cell, each naming every input.
+        """
+        for v in self.inputs:
+            lo, hi = v.domain
+            mfs = [mf for _, mf in v.terms]
+            if (mfs[0].left, mfs[0].peak, mfs[-1].peak, mfs[-1].right) != (lo, lo, hi, hi):
+                return None
+            if any(a.peak >= b.peak or a.right != b.peak or b.left != a.peak
+                   for a, b in zip(mfs, mfs[1:])):
+                return None
+        cells = {tuple(sorted(var for var, _ in rule.antecedents)) for rule in self.rules}
+        if cells != {tuple(sorted(v.name for v in self.inputs))} \
+                or len(self.rules) != np.prod([len(v.terms) for v in self.inputs]):
+            return None
+        return {v.name: np.array([mf.peak for _, mf in v.terms]) for v in self.inputs}
 
     @cached_property
     def _closed(self) -> _ClosedTables | None:

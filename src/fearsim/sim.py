@@ -316,7 +316,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     speculative ticks past it are dropped.
     """
     world = config.world
-    appraisal = _appraisal_table([config], config.ticks)[:, :, 0]
+    appraisal = _appraisal_table([config], config.ticks)
+    knots = _knot_table(appraisal)[:, :, 0]
+    appraisal = appraisal[:, :, 0]
     # Without the fear controller the bullet keeps accelerating.
     signs = _PLATEAU_SIGN if config.eeec_agent_enabled else np.ones_like(_PLATEAU_SIGN)
     # Speeds are floats from the first tick, even for an integer floor.
@@ -344,7 +346,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         gap = target_position - bullet_position
         rows = np.minimum(np.arange(tick, tick + len(window)), appraisal.shape[1] - 1)
         plateau = _fear_plateaus(gap, bullet_speed, world.span, world.max_velocity,
-                                 appraisal[:, rows], config.fear_threshold)
+                                 appraisal[:, rows], knots[:, rows], config.fear_threshold)
         changed = np.flatnonzero(signs[plateau] != held)
         keep = int(changed[0]) + 1 if changed.size else len(window)
         recorded[:, tick:tick + keep, 0] = gap[:keep], bullet_speed[:keep], target_speed[:keep]
@@ -390,57 +392,80 @@ def _clamp_speeds(speed: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.nd
     return np.where(high < speed, high, speed)
 
 
-# A computed likelihood's display closer than this to a plateau midpoint is
-# decided by the exact likelihood (derived at ``_fear_plateaus``).
+# A display closer than this to a plateau midpoint is decided by the exact
+# pipeline (derived at ``_fear_plateaus``).
 _PLATEAU_MARGIN = 1e-6
 
 
 def _fear_plateaus(gap: np.ndarray, speed: np.ndarray, span, max_velocity,
-                   appraisal: np.ndarray, threshold) -> np.ndarray:
+                   appraisal: np.ndarray, knots: np.ndarray, threshold) -> np.ndarray:
     """``step``'s fear pipeline at many points, as plateau indices.
 
     ``appraisal`` holds undesirability, likelihood and ig per point; a NaN
-    likelihood is computed from the gap and bullet speed.  The world's
-    span and maximum velocity and the fear threshold are per point or
-    shared.
+    likelihood is computed from the gap and bullet speed.  ``knots`` holds
+    each point's column of ``_knot_table``.  The world's span and maximum
+    velocity and the fear threshold are per point or shared.
 
-    Only the plateau is kept, so a computed likelihood comes from the
-    closed form (``RuleBase._mamdani_closed_batch``), within eps = 1e-10
-    of ``compute_likelihood``'s.  The shipped fear rules have strong input
-    partitions and all 125 cells, so at fixed undesirability and ig the
-    potential is linear in the likelihood between adjacent peaks of its
-    terms, with a slope of at most the consequents' centroid range over
-    the smallest peak gap, below 1/0.19.  Each additive evaluation rounds
-    by less than 3e-14, and the threshold and the x100 add a few units in
-    the last place, so 100*intensity moves by less than
-    100 (5.3 eps + 1e-13) < 6e-8 between the two likelihoods.  A point
-    whose 100*intensity lies ``_PLATEAU_MARGIN`` or more from every
-    midpoint therefore has the exact likelihood's plateau.  The others,
-    and those without a proven bound, go through ``_mamdani_batch`` as one
-    batch.
+    Only the plateau is kept, so neither rule base runs exactly.  A
+    computed likelihood comes from the closed form
+    (``RuleBase._mamdani_closed_batch``), within eps = 1e-10 of
+    ``compute_likelihood``'s.  The fear rules have strong input partitions
+    and one rule per cell (``RuleBase._peaks``), so at fixed undesirability
+    and ig their exact multilinear potential M is linear in the likelihood
+    between adjacent peaks of its terms, with a slope of at most the
+    consequents' centroid range over the smallest peak gap, below 1/0.19:
+    M moves by less than 5.3 eps between the two likelihoods.  Each knot is
+    ``_additive_batch``'s value at a peak, within 3e-14 of M there, and
+    ``_knot_potential`` rounds a few units in the last place more, so the
+    interpolated potential lies within 3.1e-14 of M, as
+    ``_additive_batch``'s value at the exact likelihood does.  The
+    threshold and the x100 add a few units in the last place, so
+    100*intensity moves by less than 100 (5.3 eps + 1e-13) < 6e-8 between
+    the pipelines.  A point whose 100*intensity lies ``_PLATEAU_MARGIN`` or
+    more from every midpoint therefore has the exact pipeline's plateau.
+    The others, and those without a proven bound or without knots, go
+    through ``_mamdani_batch`` (where the likelihood is computed) and
+    ``_plateaus`` as one batch.
     """
     undesirability, likelihood, ig = appraisal
-    missing = np.isnan(likelihood)
-    if not missing.any():
-        return _plateaus(undesirability, likelihood, ig, threshold)[0]
     rulebase = likelihood_rulebase()
     inputs = {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity}
+    missing = np.isnan(likelihood)
     if missing.all():
         likelihood = rulebase._mamdani_closed_batch(inputs)
-    else:
+    elif missing.any():
         likelihood = likelihood.copy()
         likelihood[missing] = rulebase._mamdani_closed_batch(
             {name: value[missing] for name, value in inputs.items()})
-    unproven = np.isnan(likelihood)
+    potential = _knot_potential(knots, likelihood)
+    unproven = np.isnan(potential)
     if unproven.any():
-        likelihood = np.where(unproven, 0.0, likelihood)
-    plateau, slack = _plateaus(undesirability, likelihood, ig, threshold)
-    redo = (missing & ((slack < _PLATEAU_MARGIN) | unproven)).nonzero()[0]
+        potential = np.where(unproven, 0.0, potential)
+    plateau, slack = _plateaus_with_slack(potential, threshold)
+    redo = ((slack < _PLATEAU_MARGIN) | unproven).nonzero()[0]
     if redo.size:
-        exact = rulebase._mamdani_batch({name: value[redo] for name, value in inputs.items()})[0]
+        exact = appraisal[1, redo]
+        computed = np.isnan(exact)
+        if computed.any():
+            exact[computed] = rulebase._mamdani_batch(
+                {name: value[redo[computed]] for name, value in inputs.items()})[0]
         plateau[redo] = _plateaus(undesirability[redo], exact, ig[redo],
                                   np.broadcast_to(threshold, plateau.shape)[redo])[0]
     return plateau
+
+
+def _knot_potential(knots: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
+    """The fear potential at each likelihood, interpolated between the
+    knots at the likelihood peaks around it; NaN for a NaN likelihood, and
+    everywhere when there are no knots."""
+    if not len(knots):
+        return np.full(likelihood.shape, np.nan)
+    peaks = fear_rulebase()._peaks["likelihood"]
+    upper = np.minimum(peaks.searchsorted(likelihood, side="right"), len(peaks) - 1)
+    low, high = peaks[upper - 1], peaks[upper]
+    columns = np.arange(len(likelihood))
+    below, above = knots[upper - 1, columns], knots[upper, columns]
+    return below + (likelihood - low) / (high - low) * (above - below)
 
 
 def _plateaus(undesirability, likelihood, ig, threshold) -> tuple[np.ndarray, np.ndarray]:
@@ -449,6 +474,29 @@ def _plateaus(undesirability, likelihood, ig, threshold) -> tuple[np.ndarray, np
         "undesirability": undesirability, "likelihood": likelihood, "ig": ig,
     })
     return _plateaus_with_slack(potential, threshold)
+
+
+def _knot_table(appraisal: np.ndarray) -> np.ndarray:
+    """(peaks, width, runs): the fear potential at each peak of the fear
+    rules' likelihood terms (``RuleBase._peaks``), under each row of
+    ``_appraisal_table``'s undesirability and ig.
+
+    Each distinct (undesirability, ig) goes through ``_additive_batch``
+    once, all in one batch.  The table is empty, so every point takes the
+    exact pipeline, when the fear rules have no peaks.
+    """
+    rulebase = fear_rulebase()
+    peaks = rulebase._peaks
+    if peaks is None:
+        return np.empty((0, *appraisal.shape[1:]))
+    peaks = peaks["likelihood"]
+    pairs, inverse = np.unique(appraisal[[0, 2]].reshape(2, -1), axis=1, return_inverse=True)
+    potential = _additive_batch(rulebase, {
+        "undesirability": np.tile(pairs[0], len(peaks)),
+        "likelihood": np.repeat(peaks, pairs.shape[1]),
+        "ig": np.tile(pairs[1], len(peaks)),
+    }).reshape(len(peaks), -1)
+    return potential[:, inverse.reshape(-1)].reshape(len(peaks), *appraisal.shape[1:])
 
 
 def _appraisal_table(configs, ticks: int) -> np.ndarray:
@@ -510,6 +558,7 @@ def _run_group(configs) -> list[Trace]:
         "span": np.array([w.span for w in worlds], dtype=float),
         "su_per_mph_tick": np.array([w.tick_seconds * MPH_TO_FPS / w.patch_scale for w in worlds]),
         "appraisal": appraisal,
+        "knots": _knot_table(appraisal),
         "bullet_position": np.zeros(n),
         "target_position": np.array([c.separation for c in configs], dtype=float),
         "bullet_speed": np.array([w.min_velocity for w in worlds], dtype=float),
@@ -535,9 +584,9 @@ def _run_group(configs) -> list[Trace]:
                 break
         bullet_speed, target_speed = run["bullet_speed"], run["target_speed"]
 
+        row = min(tick, appraisal.shape[1] - 1)
         level = _fear_plateaus(gap, bullet_speed, run["span"], run["max_velocity"],
-                               run["appraisal"][:, min(tick, appraisal.shape[1] - 1)],
-                               run["fear_threshold"])
+                               run["appraisal"][:, row], run["knots"][:, row], run["fear_threshold"])
         recorded[:, tick, where] = gap, bullet_speed, target_speed
         plateau[tick, where] = level
 

@@ -12,8 +12,8 @@ from fearsim.monitors import (
     reports_to_csv,
     summarize_reports,
 )
-from fearsim.sim import (ScenarioConfig, TickRecord, Trace, TraceColumns, run_lockstep, run_scenario,
-                         trace_to_csv)
+from fearsim.sim import (ScenarioConfig, TickRecord, Trace, TraceColumns, WorldConfig, run_lockstep,
+                         run_scenario, trace_to_csv)
 
 LEVEL_DISPLAY = {
     FearLevel.VERY_LOW: 6,
@@ -183,6 +183,39 @@ def test_inv1b_window_requires_non_decreasing_speed():
     ])
     report = check_trace_invariants(trace)[1]
     assert report.verdict is Verdict.VACUOUS
+
+
+# The paper's rates and appraisal (accel 0.06, decel 0.03, undesirability
+# = ig = 1, threshold 0) from a 30 mph floor.  The clip/max likelihood is
+# not monotone in the gap, so while the gap closes at a constant speed the
+# display chatters between 49 and 36, across the midpoint 42.5: Inv1B
+# catches a weakness of the model with no planted fault.
+_INV1B_WITNESS = ScenarioConfig(world=WorldConfig(min_velocity=30), separation=45, ticks=1000)
+
+
+@pytest.mark.parametrize("runner", [run_scenario, lambda config: run_lockstep([config])[0]],
+                         ids=["run_scenario", "run_lockstep"])
+def test_the_papers_setting_violates_inv1b(runner):
+    inv1a, inv1b = check_trace_invariants(runner(_INV1B_WITNESS))
+    assert inv1a.verdict is Verdict.VACUOUS
+    assert inv1b.verdict is Verdict.VIOLATED
+    assert len(inv1b.evidence) == 6
+    assert inv1b.evidence[0] == (352, "display 49->36 while gap 39.7565->39.7259")
+
+
+def test_inv1b_violations_on_a_floor_and_separation_grid():
+    # Only the longest runs reach the chattering gaps, at a 30 mph floor.
+    for ticks, violated in ((100, []), (300, []),
+                            (1000, [(30, 43, 0.03), (30, 43, 0.06), (30, 49, 0.03), (30, 49, 0.06)])):
+        configs = [ScenarioConfig(world=WorldConfig(min_velocity=floor), separation=separation,
+                                  bullet_decel=decel, ticks=ticks)
+                   for floor in (10, 30, 50, 60, 70, 90) for separation in range(1, 50, 6)
+                   for decel in (0.03, 0.06)]
+        assert len(configs) == 108
+        traces = run_lockstep(configs)
+        assert not any(trace.collision for trace in traces)
+        assert [(t.config.world.min_velocity, t.config.separation, t.config.bullet_decel)
+                for t in traces if check_trace_invariants(t)[1].verdict is Verdict.VIOLATED] == violated
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Simulator: maneuvers, stepping, scenarios, record import, trace CSV."""
 
+import re
 from collections import namedtuple
 from importlib import resources
 
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from fearsim import sim
 from fearsim.configio import load_scenario_config, load_sweep_rows
 from fearsim.emotion import (DISPLAY_PLATEAUS, EmotionInputs, FearLevel, _plateau_indices,
-                             fear_rulebase, likelihood_rulebase)
+                             fear_rulebase, generate_fear_rules, likelihood_rulebase)
 from fearsim.experiments import SweepSpec, run_sweep
-from fearsim.fuzzy import _CENTROID_ERROR, RuleBase, _additive_batch
+from fearsim.fuzzy import _CENTROID_ERROR, RuleBase, _additive_batch, parse_rules
 from fearsim.sight import MPH_TO_FPS
 from fearsim.sim import (
     CollisionError,
@@ -388,27 +389,29 @@ def test_long_runs_with_changes_inside_windows():
         assert trace_to_csv(trace) == trace_to_csv(reference)
 
 
+def counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 def test_single_run_batches_its_inference(monkeypatch):
     config = shipped_replay()
     calls = {"likelihood": 0, "exact": 0, "potential": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
     monkeypatch.setattr(RuleBase, "_mamdani_closed_batch",
-                        counted("likelihood", RuleBase._mamdani_closed_batch))
-    monkeypatch.setattr(RuleBase, "_mamdani_batch", counted("exact", RuleBase._mamdani_batch))
-    monkeypatch.setattr(sim, "_additive_batch", counted("potential", sim._additive_batch))
+                        counted(calls, "likelihood", RuleBase._mamdani_closed_batch))
+    monkeypatch.setattr(RuleBase, "_mamdani_batch", counted(calls, "exact", RuleBase._mamdani_batch))
+    monkeypatch.setattr(sim, "_additive_batch", counted(calls, "potential", sim._additive_batch))
     for name in ("step", "compute_likelihood", "fear_potential", "classify_level"):
         monkeypatch.setattr(sim, name, None)
     trace = run_scenario(config)
     assert len(trace.columns.tick) == config.ticks == 1200
     assert 0 < calls["likelihood"] < config.ticks / 10
     assert calls["exact"] == 0
-    assert 0 < calls["potential"] < config.ticks / 10
+    # The knot table's; no tick infers the potential.
+    assert calls["potential"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +419,20 @@ def test_single_run_batches_its_inference(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def exact_plateaus(gap, speed, span, max_velocity, appraisal, threshold):
-    """``_fear_plateaus`` with every computed likelihood from ``_mamdani_batch``."""
+    """``_fear_plateaus`` with every computed likelihood from ``_mamdani_batch``
+    and every potential from ``_additive_batch``, under ``sim``'s fear rules."""
     undesirability, likelihood, ig = appraisal
     computed = likelihood_rulebase()._mamdani_batch(
         {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity})[0]
-    potential = _additive_batch(fear_rulebase(), {
+    potential = _additive_batch(sim.fear_rulebase(), {
         "undesirability": undesirability, "ig": ig,
         "likelihood": np.where(np.isnan(likelihood), computed, likelihood)})
     return _plateau_indices(potential, threshold)
+
+
+def knots_of(appraisal):
+    """The runners' knots (``sim._knot_table``) of one appraisal per point."""
+    return sim._knot_table(appraisal[:, None])[:, 0]
 
 
 _fear_points = st.lists(st.tuples(
@@ -444,7 +453,7 @@ def test_fear_plateaus_are_the_exact_pipelines(points, shared):
         np.full(len(gap), WORLD.span), np.full(len(gap), WORLD.max_velocity))
     threshold = threshold[0] if shared else threshold
     appraisal = np.array([undesirability, likelihood, ig])
-    assert sim._fear_plateaus(gap, speed, *world, appraisal, threshold).tolist() == \
+    assert sim._fear_plateaus(gap, speed, *world, appraisal, knots_of(appraisal), threshold).tolist() == \
         exact_plateaus(gap, speed, *world, appraisal, threshold).tolist()
 
 
@@ -489,8 +498,15 @@ def test_points_next_to_every_plateau_edge_get_the_exact_plateau():
     assert len(gap) >= 20
     assert set(straddled.tolist()) == set(range(len(DISPLAY_PLATEAUS) - 1))
     span, max_velocity = WORLD.span, WORLD.max_velocity
-    assert sim._fear_plateaus(gap, speed, span, max_velocity, appraisal, threshold).tolist() == \
-        exact_plateaus(gap, speed, span, max_velocity, appraisal, threshold).tolist()
+    exact = exact_plateaus(gap, speed, span, max_velocity, appraisal, threshold)
+    assert sim._fear_plateaus(gap, speed, span, max_velocity, appraisal, knots_of(appraisal),
+                              threshold).tolist() == exact.tolist()
+    # The same points with their exact likelihoods given, as emotion
+    # records give them, straddle the same midpoints.
+    appraisal[1] = likelihood_rulebase()._mamdani_batch(
+        {"distance": np.minimum(gap / span, 1.0), "speed": speed / max_velocity})[0]
+    assert sim._fear_plateaus(gap, speed, span, max_velocity, appraisal, knots_of(appraisal),
+                              threshold).tolist() == exact.tolist()
 
 
 def test_plateau_margin_covers_the_likelihood_bound():
@@ -522,9 +538,97 @@ def test_shipped_runs_never_take_the_exact_path(monkeypatch):
     def unreachable(self, inputs):
         pytest.fail("a shipped run computed a likelihood through _mamdani_batch")
 
+    calls = {"group": 0, "potential": 0}
     monkeypatch.setattr(RuleBase, "_mamdani_batch", unreachable)
+    monkeypatch.setattr(sim, "_run_group", counted(calls, "group", sim._run_group))
+    monkeypatch.setattr(sim, "_additive_batch", counted(calls, "potential", sim._additive_batch))
     assert len(run_scenario(shipped_replay()).columns.tick) == 1200
+    assert calls == {"group": 0, "potential": 1}
     assert [len(run_sweep(spec).runs) for spec in shipped_sweeps()] == [300, 250]
+    # One knot table per lock-step group; no tick infers the potential.
+    assert calls == {"group": 2, "potential": 3}
+
+
+# ---------------------------------------------------------------------------
+# potential knots
+# ---------------------------------------------------------------------------
+
+def fear_rules_with(likelihood_terms):
+    """The shipped fear rules with other (left, peak, right) likelihood terms."""
+    text = generate_fear_rules()
+    for token, breakpoints in zip(("VLL", "LL", "ML", "HL", "VHL"), likelihood_terms):
+        text = re.sub(rf"^term likelihood {token} .*$",
+                      f"term likelihood {token} {' '.join(map(str, breakpoints))}", text, flags=re.M)
+    return parse_rules(text)
+
+
+# A strong likelihood partition on other peaks than the other inputs', and
+# one whose LL term's right foot misses ML's peak.
+_OTHER_PEAKS = ((0, 0, 0.2), (0, 0.2, 0.45), (0.2, 0.45, 0.8), (0.45, 0.8, 1), (0.8, 1, 1))
+_NOT_STRONG = ((0, 0, 0.3), (0, 0.3, 0.5), (0.3, 0.49, 0.705), (0.49, 0.705, 1), (0.705, 1, 1))
+
+
+def test_fear_rules_have_peaks_with_strong_partitions_and_every_cell():
+    shipped = [0.0, 0.3, 0.49, 0.705, 1.0]
+    assert {name: peaks.tolist() for name, peaks in fear_rulebase()._peaks.items()} == \
+        {"undesirability": shipped, "likelihood": shipped, "ig": shipped}
+    assert fear_rules_with(_OTHER_PEAKS)._peaks["likelihood"].tolist() == [0, 0.2, 0.45, 0.8, 1]
+    assert fear_rules_with(_NOT_STRONG)._peaks is None
+    text = generate_fear_rules()
+    rule = next(line for line in text.splitlines() if line.startswith("IF "))
+    # A cell without a rule, and a rule that leaves out an input.
+    assert parse_rules(text.replace(rule + "\n", ""))._peaks is None
+    assert parse_rules(text.replace(rule, rule.replace(" AND ig IS VLI", "")))._peaks is None
+
+
+def drawn_appraisals(n, seed=21):
+    """Undesirability, likelihood and ig of ``n`` points, with the extremes."""
+    appraisal = np.random.default_rng(seed).random((3, n))
+    appraisal[:, :4] = [[0.0, 1.0, 1.0, 0.5], [0.0, 1.0, 0.3, 0.49], [0.0, 1.0, 0.0, 1.0]]
+    return appraisal
+
+
+@pytest.mark.parametrize("terms", [None, _OTHER_PEAKS], ids=["shipped", "other_peaks"])
+def test_knots_are_the_potential_at_the_likelihood_peaks(monkeypatch, terms):
+    if terms is not None:
+        monkeypatch.setattr(sim, "fear_rulebase", lambda rb=fear_rules_with(terms): rb)
+    rb = sim.fear_rulebase()
+    peaks = [mf.peak for _, mf in next(v for v in rb.inputs if v.name == "likelihood").terms]
+    undesirability, likelihood, ig = appraisal = drawn_appraisals(2000)
+    knots = knots_of(appraisal)
+
+    def additive(likelihood):
+        return _additive_batch(rb, {"undesirability": undesirability, "likelihood": likelihood,
+                                    "ig": ig})
+
+    # Bit for bit at the peaks, and a few units in the last place between.
+    at_peaks = [additive(np.full_like(likelihood, peak)) for peak in peaks]
+    assert knots.tolist() == np.array(at_peaks).tolist()
+    for peak, potential in zip(peaks, at_peaks):
+        assert sim._knot_potential(knots, np.full_like(likelihood, peak)).tolist() == potential.tolist()
+    assert np.abs(sim._knot_potential(knots, likelihood) - additive(likelihood)).max() <= 1e-15
+
+
+def test_fear_rules_without_peaks_take_the_exact_plateaus(monkeypatch):
+    monkeypatch.setattr(sim, "fear_rulebase", lambda rb=fear_rules_with(_NOT_STRONG): rb)
+    calls = {"exact": 0}
+    plateaus = sim._plateaus
+
+    def exact(undesirability, *args):
+        calls["exact"] += len(undesirability)
+        return plateaus(undesirability, *args)
+
+    monkeypatch.setattr(sim, "_plateaus", exact)
+    appraisal = drawn_appraisals(300)
+    appraisal[1, ::2] = np.nan
+    rng = np.random.default_rng(7)
+    gap, speed, threshold = rng.uniform(0.01, 60.0, 300), rng.uniform(0.0, 100.0, 300), rng.random(300) / 2
+    knots = knots_of(appraisal)
+    assert knots.shape == (0, 300)
+    assert sim._fear_plateaus(gap, speed, WORLD.span, WORLD.max_velocity, appraisal, knots,
+                              threshold).tolist() == \
+        exact_plateaus(gap, speed, WORLD.span, WORLD.max_velocity, appraisal, threshold).tolist()
+    assert calls["exact"] == 300
 
 
 _floats = st.floats(allow_nan=False)
