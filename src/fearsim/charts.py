@@ -51,26 +51,31 @@ def _header(title: str) -> list[str]:
     ]
 
 
-def _series(points: list[tuple[float, float]], color: str) -> str:
-    if len(points) == 1:
-        x, y = points[0]
-        return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>'
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+def _series(xs: list[str], ys, color: str) -> str:
+    """One series from its formatted x and y coordinates."""
+    if len(xs) == 1:
+        y, = ys
+        return f'<circle cx="{xs[0]}" cy="{y}" r="3" fill="{color}"/>'
+    coords = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
     return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
 
 def trace_chart_svg(trace: Trace) -> str:
-    """Two-series line chart: fear display (0..100) and gap over ticks."""
-    gaps = trace.columns.distance
+    """Two-series line chart: fear display (0..100) and gap over ticks.
+
+    Each coordinate string is formatted once: an x for both series, a fear
+    y per distinct display and a gap y per tick.
+    """
+    displays, gaps = trace.columns.fear_display, trace.columns.distance
     if not gaps:
         raise ValueError("cannot chart an empty trace")
     n = len(gaps)
     gap_hi = max(max(gaps), 1.0)
     parts = _header("fear and gap per tick")
-    fear_pts = [(_x_at(i, n), _y_at(d, 0.0, 100.0)) for i, d in enumerate(trace.columns.fear_display)]
-    gap_pts = [(_x_at(i, n), _y_at(g, 0.0, gap_hi)) for i, g in enumerate(gaps)]
-    parts.append(_series(fear_pts, _FEAR_COLOR))
-    parts.append(_series(gap_pts, _GAP_COLOR))
+    xs = [_fmt(_x_at(i, n)) for i in range(n)]
+    fear_y = {d: _fmt(_y_at(d, 0.0, 100.0)) for d in set(displays)}
+    parts.append(_series(xs, map(fear_y.__getitem__, displays), _FEAR_COLOR))
+    parts.append(_series(xs, [_fmt(_y_at(g, 0.0, gap_hi)) for g in gaps], _GAP_COLOR))
     # axes annotation: left fear scale, right gap scale, tick count below
     parts.append(f'<text x="{_MARGIN_L - 8}" y="{_MARGIN_T + 12}" text-anchor="end" '
                  f'font-family="sans-serif" font-size="11" fill="{_FEAR_COLOR}">100</text>')

@@ -30,7 +30,7 @@ from .sight import (
     overtaking_sight_distance,
     stopping_sight_distance,
 )
-from .sim import ScenarioConfig, Trace, _csv_fields, _numbered_lines, run_lockstep, trace_to_csv
+from .sim import ScenarioConfig, Trace, _csv_fields, _number, _numbered_lines, run_lockstep, trace_to_csv
 # Not called here: sweeps run in lock-step.  The name stays in this
 # module's namespace because perfbench/tracer.py wraps it at this site.
 from .sim import run_scenario  # noqa: F401
@@ -239,7 +239,7 @@ def _parse_success(text: str) -> bool:
 
 
 _TABLE_HEADER = "speed_mph,agent_ft,human_ft,kind,success,agent_measured_ft,human_measured_ft"
-_TABLE_PARSERS = (float, float, float, str, _parse_success, float, float)
+_TABLE_PARSERS = (_number, _number, _number, str, _parse_success, _number, _number)
 
 
 _DT = 1e-3  # integration step of the measured distances, seconds
@@ -255,11 +255,23 @@ def measured_stopping_distance(speed_mph: float, reaction_time: float,
     taken with ``np.cumsum``, which adds in sequence, so every partial sum
     is the step-by-step loop's.
     """
+    distance, = _stopping_distances(speed_mph, (reaction_time,), deceleration)
+    return distance
+
+
+def _stopping_distances(speed_mph: float, reaction_times,
+                        deceleration: float = DEFAULT_DECELERATION_FTPS2) -> list[float]:
+    """``measured_stopping_distance`` at one speed for each reaction time.
+
+    The braking steps do not depend on the reaction time, so they are
+    built once.  Each reaction time's row is its reaction travel followed
+    by the step travels, summed along the row in sequence.
+    """
     if deceleration <= 0:
         raise ValueError("deceleration must be positive")
     v = speed_mph * MPH_TO_FPS
     if not v > 0:
-        return v * reaction_time
+        return [v * t for t in reaction_times]
     steps = int(v / (deceleration * _DT)) + 2
     while True:
         speeds = np.cumsum(np.concatenate(([v], np.full(steps, -(deceleration * _DT)))))[1:]
@@ -269,7 +281,10 @@ def measured_stopping_distance(speed_mph: float, reaction_time: float,
         steps *= 2
     speeds = speeds[:stopped[0] + 1]
     speeds[-1] = 0.0  # the step that reaches zero is clamped to standstill
-    return float(np.cumsum(np.concatenate(([v * reaction_time], speeds * _DT)))[-1])
+    rows = np.empty((len(reaction_times), speeds.size + 1))
+    rows[:, 0] = [v * t for t in reaction_times]
+    rows[:, 1:] = speeds * _DT
+    return np.cumsum(rows, axis=1, out=rows)[:, -1].tolist()
 
 
 def measured_overtaking_distance(speed_mph: float, reaction_time: float,
@@ -311,8 +326,8 @@ def compare_ssd(speeds_mph: list[float],
     for v in speeds_mph:
         agent_ft = stopping_sight_distance(SsdParams(v, agent.reaction_time))
         human_ft = stopping_sight_distance(SsdParams(v, human.reaction_time))
-        agent_measured = measured_stopping_distance(v, agent.reaction_time)
-        human_measured = measured_stopping_distance(v, human.reaction_time)
+        agent_measured, human_measured = _stopping_distances(
+            v, (agent.reaction_time, human.reaction_time))
         success = (_close(agent_measured, agent_ft) and _close(human_measured, human_ft))
         rows.append(ComparisonRow(v, agent_ft, human_ft, "rear_end", success,
                                   agent_measured, human_measured))

@@ -183,7 +183,7 @@ def test_compare_rejects_speeds_past_the_ceiling(tmp_path, capsys, monkeypatch, 
     def unreachable(*args):
         pytest.fail("a rejected speed reached the study")
 
-    monkeypatch.setattr(experiments, "measured_stopping_distance", unreachable)
+    monkeypatch.setattr(experiments, "_stopping_distances", unreachable)
     monkeypatch.setattr(experiments, "measured_overtaking_distance", unreachable)
     out = tmp_path / "table.csv"
     assert main([command, f"--speeds={speeds}", "--out", str(out)]) == 1
@@ -302,11 +302,14 @@ def test_fuzzy_eval_out_of_order_term_exits_1(tmp_path, data_file, capsys):
 
 def test_plot_from_trace_csv(tmp_path, data_file):
     trace_path = tmp_path / "trace.csv"
-    main(["simulate", "--config", data_file("replay_close_gap_low_speed.cfg"),
-          "--out", str(trace_path)])
+    plotted = tmp_path / "simulated.svg"
+    assert main(["simulate", "--config", data_file("replay_close_gap_low_speed.cfg"),
+                 "--out", str(trace_path), "--plot", str(plotted)]) == 0
     out = tmp_path / "chart.svg"
     assert main(["plot", "--trace", str(trace_path), "--out", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+    # The chart of the trace read back is the chart of the trace simulated.
+    assert out.read_bytes() == plotted.read_bytes()
 
 
 def test_plot_requires_exactly_one_source(tmp_path, capsys):
@@ -356,6 +359,66 @@ def test_validate_malformed_trace_names_the_line(tmp_path, data_file, capsys, ed
     capsys.readouterr()
     assert main(["validate", "--trace", str(trace)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    # Two faults of different kinds: the earlier line's is reported.
+    (lambda lines: lines[:2] + [_with_field(lines[2], 1, "x")] + lines[3:5] + [lines[5] + ",1"]
+     + lines[6:], "line 3: ssd is not a number: 'x'"),
+    (lambda lines: lines[:2] + [lines[2] + ",1"] + lines[3:5] + [_with_field(lines[5], 1, "x")]
+     + lines[6:], "line 3: expected 7 comma-separated fields, got 8"),
+    # A bad row before a bad collision marker, and after one.
+    (lambda lines: lines[:3] + [_with_field(lines[3], 4, "calm")] + lines[4:]
+     + ["# collision at tick x"], "line 4: fear_level: unknown fear level 'calm'"),
+    (lambda lines: lines[:2] + ["# collision at tick x"] + [_with_field(lines[2], 0, "1.5")]
+     + lines[3:], "line 3: collision tick is not an integer: 'x'"),
+    # Blank lines count.
+    (lambda lines: [lines[0], "", "   ", lines[1], _with_field(lines[2], 6, "")] + lines[3:],
+     "line 5: target_speed is not a number: ''"),
+    # A NaN field is refused; infinities are not.
+    (lambda lines: lines[:9] + [_with_field(lines[9], 2, "nan")] + lines[10:],
+     "line 10: distance is not a number: 'nan'"),
+    (lambda lines: lines[:1] + [_with_field(line, 2, "inf") for line in lines[1:40]] + lines[40:1000]
+     + [_with_field(lines[1000], 5, "NaN")] + lines[1001:],
+     "line 1001: bullet_speed is not a number: 'NaN'"),
+])
+def test_validate_reports_the_first_fault_in_the_file(tmp_path, data_file, capsys, edit, message):
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", data_file("replay_close_gap_low_speed.cfg"),
+                 "--out", str(trace)]) == 0
+    trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# One tick at display 16 with the gap left open.
+_ONE_ROW = ("tick,ssd,distance,fear_display,fear_level,bullet_speed,target_speed\n"
+            "0,1.0,{gap},16,VeryLow,20.0,20.0\n")
+
+
+def test_a_nan_gap_is_refused_rather_than_disarming_the_monitors(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(_ONE_ROW.format(gap="0.5"))
+    assert main(["validate", "--trace", str(trace)]) == 3
+    trace.write_text(_ONE_ROW.format(gap="nan"))
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == "error: line 2: distance is not a number: 'nan'\n"
+    out = tmp_path / "x.svg"
+    assert main(["plot", "--trace", str(trace), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: line 2: distance is not a number: 'nan'\n"
+    assert not out.exists()
+
+
+def test_plot_refuses_a_nan_table_distance(tmp_path, capsys):
+    lines = _table_csv(tmp_path)
+    table = tmp_path / "bad.csv"
+    table.write_text("\n".join(lines[:3] + [_with_field(lines[3], 5, "nan")]) + "\n")
+    capsys.readouterr()
+    assert main(["plot", "--table", str(table), "--out", str(tmp_path / "x.svg")]) == 1
+    assert capsys.readouterr().err == "error: line 4: agent_measured_ft is not a number: 'nan'\n"
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_simulate_with_emotion_records(tmp_path, data_file):

@@ -460,6 +460,23 @@ def test_measured_stopping_distance_is_the_loop_bit_for_bit():
             repr(stopping_loop(57.0, 1.5, deceleration))
 
 
+def test_compare_ssd_measures_each_profile_as_measured_stopping_distance():
+    # The study integrates each speed's braking once for both profiles.
+    speeds = [15.0 + (50.0 - 15.0) / 11 * i for i in range(12)]  # compare-ssd's default 15:50:12
+    for speed_list in (speeds, [0.0, 30.0]):
+        for row in compare_ssd(speed_list).rows:
+            assert repr(row.agent_measured_ft) == \
+                repr(measured_stopping_distance(row.speed_mph, AGENT_PROFILE.reaction_time))
+            assert repr(row.human_measured_ft) == \
+                repr(measured_stopping_distance(row.speed_mph, HUMAN_PROFILE.reaction_time))
+    times = (AGENT_PROFILE.reaction_time, HUMAN_PROFILE.reaction_time, 1.5)
+    for speed in (0.0, 57.0):
+        for deceleration in (0.5, 3.4, 30.0):
+            got = experiments._stopping_distances(speed, times, deceleration)
+            assert [repr(d) for d in got] == \
+                [repr(measured_stopping_distance(speed, t, deceleration)) for t in times]
+
+
 def test_measured_overtaking_distance_is_the_loop_bit_for_bit():
     calibration = default_osd_calibration()
     for profile in (AGENT_PROFILE, HUMAN_PROFILE):

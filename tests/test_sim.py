@@ -757,6 +757,22 @@ def test_trace_csv_round_trip_collision_marker():
     assert rebuilt.collision_tick == trace.collision_tick
 
 
+def test_trace_csv_header_only_and_trailing_markers():
+    header = sim.TRACE_HEADER + "\n"
+    empty = trace_from_csv(header)
+    assert empty.columns == TraceColumns(*[()] * 7)
+    assert not empty.collision and empty.collision_tick is None
+    marked = trace_from_csv(header + "\n# collision at tick 0\n")
+    assert marked.columns == empty.columns
+    assert marked.collision and marked.collision_tick == 0
+    text = trace_to_csv(run_scenario(ScenarioConfig(ticks=5)))
+    rebuilt = trace_from_csv(text + "# a note\n\n# collision at tick 4\n")
+    assert rebuilt.columns == trace_from_csv(text).columns
+    assert rebuilt.collision and rebuilt.collision_tick == 4
+    with pytest.raises(ValueError, match="^line 3: collision tick is not an integer: '4.0'$"):
+        trace_from_csv(header + "\n# collision at tick 4.0\n")
+
+
 def test_trace_csv_rejects_foreign_text():
     with pytest.raises(ValueError):
         trace_from_csv("not,a,trace\n1,2,3\n")
